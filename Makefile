@@ -1,31 +1,18 @@
 # Tier-1 gate and developer targets. `make check` is what CI runs:
-# vet, build, the full test suite under the race detector, and a short
-# native-fuzz smoke over the parser and the differential engine.
+# scripts/check.sh, the single definition of the gate (vet, build,
+# race-enabled tests, self-tests, bench and fuzz smokes, coverage
+# floors, and the CLI resume/compile/serve/evolve smokes).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race fuzz-smoke cover bench bench-quick golden
+.PHONY: check test cover bench bench-quick golden
 
-check: vet build race fuzz-smoke cover
-
-vet:
-	$(GO) vet ./...
-
-build:
-	$(GO) build ./...
+check:
+	scripts/check.sh $(FUZZTIME)
 
 test:
 	$(GO) test ./...
-
-race:
-	$(GO) test -race ./...
-
-fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/minic/parser
-	$(GO) test -fuzz=FuzzSuiteRun -fuzztime=$(FUZZTIME) -run='^$$' .
-	$(GO) test -fuzz=FuzzReduce -fuzztime=$(FUZZTIME) -run='^$$' ./internal/triage
-	$(GO) test -fuzz=FuzzCompileOracle -fuzztime=$(FUZZTIME) -run='^$$' .
 
 # Per-package coverage table with hard floors on the triage layer
 # (internal/triage, internal/difffuzz); see scripts/cover.sh.

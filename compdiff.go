@@ -35,8 +35,6 @@
 package compdiff
 
 import (
-	"io"
-
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
 	"compdiff/internal/core"
@@ -164,13 +162,6 @@ func ResumeCampaignPool(src string, seeds [][]byte, opts CampaignOptions) (*Camp
 	return difffuzz.ResumePool(src, seeds, opts)
 }
 
-// CampaignHash fingerprints the determinism-relevant campaign inputs
-// (source, seed corpus, options); checkpoints only resume into a
-// campaign with a matching hash.
-func CampaignHash(src string, seeds [][]byte, opts CampaignOptions) uint64 {
-	return difffuzz.CampaignHash(src, seeds, opts)
-}
-
 // Checkpoint/resume error classes (match with errors.Is).
 var (
 	// ErrNoCheckpoint reports that the checkpoint directory holds no
@@ -227,13 +218,6 @@ const (
 	ClassStepLimitHang = telemetry.ClassStepLimitHang
 	ClassDiff          = telemetry.ClassDiff
 )
-
-// WriteMetricsJSON dumps a campaign's metrics registry to w as one
-// JSON object, expvar style: counters, per-class outcome counts, and
-// per-implementation latency histograms keyed by registration name.
-func WriteMetricsJSON(w io.Writer, m *CampaignMetrics) error {
-	return m.Registry().WriteJSON(w)
-}
 
 // Fingerprint is a divergence fingerprint: the implementation
 // agreement partition, the per-implementation outcome classes, and the
@@ -397,11 +381,4 @@ func NewEvolveCampaign(opts EvolveCampaignOptions) (*EvolveCampaign, error) {
 // ResumeCampaignPool's.
 func ResumeEvolveCampaign(opts EvolveCampaignOptions) (*EvolveCampaign, error) {
 	return difffuzz.ResumeEvolvePool(opts)
-}
-
-// EvolveCampaignHash fingerprints the determinism-relevant knobs of an
-// evolutionary campaign; checkpoints only resume into a campaign with
-// a matching hash.
-func EvolveCampaignHash(opts EvolveCampaignOptions) uint64 {
-	return difffuzz.EvolveCampaignHash(opts)
 }

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"sync"
 
 	"compdiff/internal/ir"
 	"compdiff/internal/minic/ast"
@@ -74,6 +75,32 @@ func CompileGuarded(info *sema.Info, cfg Config) Result {
 	res.Diags = append([]string(nil), lw.diags...)
 	res.PassBits = lw.passBits
 	return res
+}
+
+// CompileAllGuarded runs CompileGuarded under every configuration,
+// at most parallelism lowerings at a time (each is independent).
+// Results are positional with cfgs whatever the parallelism.
+func CompileAllGuarded(info *sema.Info, cfgs []Config, parallelism int) []Result {
+	results := make([]Result, len(cfgs))
+	if parallelism <= 1 {
+		for i := range cfgs {
+			results[i] = CompileGuarded(info, cfgs[i])
+		}
+		return results
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, parallelism)
+	for i := range cfgs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			results[i] = CompileGuarded(info, cfgs[i])
+			<-sem
+		}()
+	}
+	wg.Wait()
+	return results
 }
 
 // diag records one rendered diagnostic. There is no real file name in

@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"compdiff/internal/compiler"
 	"compdiff/internal/hash"
-	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
-	"compdiff/internal/vm"
 )
 
 // The compile-stage differential oracle: before a program ever runs,
@@ -123,31 +120,10 @@ func (co *CompileOutcome) Signature() uint64 {
 // The returned error is reserved for harness misuse (fewer than two
 // configurations); per-implementation failures are data, not errors.
 func BuildDifferential(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
-	opts = opts.withDefaults()
 	if len(cfgs) < 2 {
 		return nil, nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
 	}
-
-	results := make([]compiler.Result, len(cfgs))
-	if opts.Parallelism > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Parallelism)
-		for i := range cfgs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				results[i] = compiler.CompileGuarded(info, cfgs[i])
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range cfgs {
-			results[i] = compiler.CompileGuarded(info, cfgs[i])
-		}
-	}
-	return AssembleDifferential(results, cfgs, opts)
+	return AssembleDifferential(compiler.CompileAllGuarded(info, cfgs, opts.Parallelism), cfgs, opts)
 }
 
 // AssembleDifferential builds the compile outcome and (when all
@@ -186,31 +162,16 @@ func AssembleDifferential(results []compiler.Result, cfgs []compiler.Config, opt
 	if !co.AllAccepted() {
 		return nil, co, nil
 	}
-
-	s := &Suite{opts: opts}
-	for i, cfg := range cfgs {
-		im := &Implementation{
-			Config:    cfg,
-			Prog:      results[i].Prog,
-			stepLimit: opts.StepLimit,
-		}
-		im.free = []*vm.Machine{vm.New(results[i].Prog, vm.Options{StepLimit: opts.StepLimit})}
-		s.Impls = append(s.Impls, im)
-	}
-	return s, co, nil
+	return assemble(results, cfgs, opts), co, nil
 }
 
 // BuildSourceDifferential parses, checks, and builds differentially.
 // Parse and sema failures are uniform front-end rejects shared by
 // every implementation — an error, never a finding.
 func BuildSourceDifferential(src string, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
-	prog, err := parser.Parse(src)
+	info, err := checkSource(src)
 	if err != nil {
-		return nil, nil, fmt.Errorf("compdiff: parse: %w", err)
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compdiff: check: %w", err)
+		return nil, nil, err
 	}
 	return BuildDifferential(info, cfgs, opts)
 }

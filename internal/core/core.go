@@ -149,27 +149,42 @@ func Build(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, error
 	if len(cfgs) < 2 {
 		return nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
 	}
-	s := &Suite{opts: opts}
-	for _, cfg := range cfgs {
+	results := make([]compiler.Result, len(cfgs))
+	for i, cfg := range cfgs {
 		// Guarded so an internal compiler error surfaces as a build
 		// error the caller can classify, never as a harness panic.
-		res := compiler.CompileGuarded(info, cfg)
-		if res.Err != nil {
-			return nil, res.Err
+		results[i] = compiler.CompileGuarded(info, cfg)
+		if results[i].Err != nil {
+			return nil, results[i].Err
 		}
-		im := &Implementation{
-			Config:    cfg,
-			Prog:      res.Prog,
-			stepLimit: opts.StepLimit,
-		}
-		im.free = []*vm.Machine{vm.New(res.Prog, vm.Options{StepLimit: opts.StepLimit})}
+	}
+	return assemble(results, cfgs, opts), nil
+}
+
+// assemble builds a suite over accepted compile results, positional
+// with cfgs: one implementation per configuration, each with a fresh
+// machine. The lowered programs are shared read-only.
+func assemble(results []compiler.Result, cfgs []compiler.Config, opts Options) *Suite {
+	s := &Suite{opts: opts}
+	for i, cfg := range cfgs {
+		im := &Implementation{Config: cfg, Prog: results[i].Prog, stepLimit: opts.StepLimit}
+		im.free = []*vm.Machine{vm.New(results[i].Prog, vm.Options{StepLimit: opts.StepLimit})}
 		s.Impls = append(s.Impls, im)
 	}
-	return s, nil
+	return s
 }
 
 // BuildSource parses, checks, and builds in one step.
 func BuildSource(src string, cfgs []compiler.Config, opts Options) (*Suite, error) {
+	info, err := checkSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return Build(info, cfgs, opts)
+}
+
+// checkSource runs the front end: parse, then semantic checks.
+func checkSource(src string) (*sema.Info, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("compdiff: parse: %w", err)
@@ -178,7 +193,7 @@ func BuildSource(src string, cfgs []compiler.Config, opts Options) (*Suite, erro
 	if err != nil {
 		return nil, fmt.Errorf("compdiff: check: %w", err)
 	}
-	return Build(info, cfgs, opts)
+	return info, nil
 }
 
 // Outcome is the result of differentially executing one input.

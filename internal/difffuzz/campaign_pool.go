@@ -25,64 +25,45 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"compdiff/internal/checkpoint"
 	"compdiff/internal/core"
 	"compdiff/internal/fuzz"
-	"compdiff/internal/minic/parser"
-	"compdiff/internal/minic/sema"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/triage"
 )
 
 // Pool runs N campaign shards over one target.
 type Pool struct {
+	// driver owns the barrier loop, shard health, the pool-wide triage
+	// store (shard-local bucket stores merge into it at barriers, so
+	// two shards hitting the same underlying bug yield exactly one
+	// pool-wide bucket), checkpointing and the plot recorder.
+	driver
+
 	opts   Options
 	shards []*shard
 	store  *core.DiffStore // shared; shard stores merge into it at barriers
-	// buckets is the pool-wide triage store: shard-local bucket stores
-	// merge into it at the same barriers, so two shards hitting the
-	// same underlying bug yield exactly one pool-wide bucket.
-	buckets *triage.BucketStore
 
-	// mu guards the shard health fields a panicking shard goroutine
-	// writes during an epoch, plus the barrier-consistent stat caches
-	// below — the data a concurrent Stats reader (the control plane)
-	// touches while an epoch runs.
-	mu sync.Mutex
 	// statShards / statCrashes are barrier-consistent copies of the
-	// per-shard fuzzer stats and the content-deduplicated crash-input
-	// set. Shard fuzzers are goroutine-confined, so a live Stats call
-	// must not touch them mid-epoch; these caches are refreshed at
-	// every synchronization barrier (and at construction/restore),
-	// which is also the only moment the numbers are mutually
-	// consistent.
+	// per-shard fuzzer stats and the content-distinct crash count,
+	// guarded by the driver's mu. Shard fuzzers are
+	// goroutine-confined, so a live Stats call must not touch them
+	// mid-epoch; these caches are refreshed at every synchronization
+	// barrier (and at construction/restore), which is also the only
+	// moment the numbers are mutually consistent.
 	statShards  []fuzz.Stats
-	statCrashes map[string]bool
-
-	// recorder is nil unless Options ask for stats. Snapshots are taken
-	// at synchronization barriers (all shard goroutines joined, so the
-	// per-class counters sum to the exec total exactly) and once more
-	// when Run returns.
-	recorder *telemetry.Recorder
+	statCrashes int
 
 	// epochHook, when set, runs at the start of every shard epoch
 	// inside the panic-recovery scope. Tests use it to wedge a shard.
 	epochHook func(shardIndex int)
 
-	// saver is nil unless Options ask for checkpointing. Snapshots are
-	// taken at barriers — the only single-threaded moment — every
-	// ckptEvery barriers and once more when Run returns.
-	saver     *checkpoint.Saver
-	ckptEvery int64
-	sinceCkpt int64
-	// optionsHash guards resume: a checkpoint only loads into a pool
-	// whose CampaignHash matches.
-	optionsHash uint64
+	// chunk, left and step are the current Run call's barrier interval,
+	// remaining per-shard budget, and current epoch length.
+	chunk, left, step int64
+
 	// spentTotal accumulates the per-shard budget across Run calls
 	// (restored on resume, so it spans process lifetimes). Atomic so a
 	// concurrent Stats reader sees a coherent value mid-campaign.
@@ -90,12 +71,10 @@ type Pool struct {
 	// persistErrs counts shared-store persistence failures observed at
 	// barriers. Atomic: the control plane reads stats while the
 	// campaign runs, and the shard counters it is summed with are
-	// already atomics — a plain increment here was the one racy read
-	// in that path. persistLogged / ckptLogged keep the logs to one
-	// line per failure kind per campaign.
+	// already atomics. persistLogged keeps the log to one line per
+	// campaign.
 	persistErrs   atomic.Int64
 	persistLogged bool
-	ckptLogged    bool
 }
 
 // shard is one fuzzer instance plus its synchronization bookkeeping.
@@ -105,8 +84,6 @@ type shard struct {
 	diffsSynced   int             // shard-local store entries already merged
 	bucketsSynced int             // shard-local buckets already merged
 	queueSeen     map[uint64]bool // queue entry hashes already cross-pollinated
-	dead          bool            // a panicking shard is retired, not restarted
-	err           error
 }
 
 // PoolStats summarizes a pool run.
@@ -150,80 +127,49 @@ type PoolStats struct {
 // seeds. Bug-triggering inputs persist (when opts.DiffDir is set)
 // only through the shared store, so shards never contend on files.
 func NewPool(src string, seeds [][]byte, opts Options) (*Pool, error) {
-	prog, err := parser.Parse(src)
+	info, err := checkSource(src)
 	if err != nil {
-		return nil, fmt.Errorf("difffuzz: parse: %w", err)
+		return nil, err
 	}
-	info, err := sema.Check(prog)
+	n := max(opts.Shards, 1)
+	p := &Pool{opts: opts, store: core.NewDiffStore(opts.DiffDir)}
+	err = p.open(driverConfig{
+		shards:          n,
+		shardName:       "shard",
+		checkpointDir:   opts.CheckpointDir,
+		checkpointEvery: opts.CheckpointEvery,
+		optionsHash:     CampaignHash(src, seeds, opts),
+		resume:          opts.resume,
+		stats:           opts.statsEnabled(),
+		statsDir:        opts.StatsDir,
+	}, func() error {
+		for si := 0; si < n; si++ {
+			sopts := opts
+			sopts.FuzzSeed = ShardSeed(opts.FuzzSeed, si)
+			sopts.DiffDir = "" // shard-local stores stay in memory
+			if opts.statsEnabled() {
+				// Shards keep their counters but the pool owns the snapshot
+				// series and the plot file.
+				sopts.Stats = true
+				sopts.StatsDir = ""
+				sopts.StatsEvery = 0
+				sopts.poolShard = true
+			}
+			if si > 0 {
+				// Secondaries skip the deterministic stage, AFL -S style:
+				// systematic shallow exploration is the main's job.
+				sopts.SkipDeterministic = true
+			}
+			c, err := NewChecked(info, seeds, sopts)
+			if err != nil {
+				return fmt.Errorf("difffuzz: shard %d: %w", si, err)
+			}
+			p.shards = append(p.shards, &shard{c: c, queueSeen: map[uint64]bool{}})
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("difffuzz: check: %w", err)
-	}
-	if opts.CheckpointDir != "" {
-		// Only the source-level constructor can compute the hash that
-		// guards resume (NewPoolChecked never sees the source text).
-		opts.ckptHash = CampaignHash(src, seeds, opts)
-	}
-	return NewPoolChecked(info, seeds, opts)
-}
-
-// NewPoolChecked builds a pool from an already-checked program.
-func NewPoolChecked(info *sema.Info, seeds [][]byte, opts Options) (*Pool, error) {
-	n := opts.Shards
-	if n < 1 {
-		n = 1
-	}
-	p := &Pool{
-		opts:    opts,
-		store:   core.NewDiffStore(opts.DiffDir),
-		buckets: triage.NewBucketStore(),
-	}
-	if opts.CheckpointDir != "" {
-		if opts.ckptHash == 0 {
-			return nil, fmt.Errorf("difffuzz: checkpointing requires NewPool or ResumePool (the source-level constructors)")
-		}
-		if !opts.resume && checkpoint.Exists(opts.CheckpointDir) {
-			return nil, fmt.Errorf("difffuzz: %s already holds a checkpoint; resume it or pick a fresh directory", opts.CheckpointDir)
-		}
-		saver, err := checkpoint.NewSaver(opts.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: %w", err)
-		}
-		p.saver = saver
-		p.optionsHash = opts.ckptHash
-		p.ckptEvery = opts.CheckpointEvery
-		if p.ckptEvery <= 0 {
-			p.ckptEvery = 1
-		}
-	}
-	if opts.statsEnabled() {
-		rec, err := telemetry.NewRecorder(opts.StatsDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: stats: %w", err)
-		}
-		p.recorder = rec
-	}
-	for si := 0; si < n; si++ {
-		sopts := opts
-		sopts.FuzzSeed = ShardSeed(opts.FuzzSeed, si)
-		sopts.DiffDir = "" // shard-local stores stay in memory
-		if opts.statsEnabled() {
-			// Shards keep their counters but the pool owns the snapshot
-			// series and the plot file.
-			sopts.Stats = true
-			sopts.StatsDir = ""
-			sopts.StatsEvery = 0
-			sopts.poolShard = true
-		}
-		if si > 0 {
-			// Secondaries skip the deterministic stage, AFL -S style:
-			// systematic shallow exploration is the main's job.
-			sopts.SkipDeterministic = true
-		}
-		c, err := NewChecked(info, seeds, sopts)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: shard %d: %w", si, err)
-		}
-		p.shards = append(p.shards, &shard{c: c, queueSeen: map[uint64]bool{}})
+		return nil, err
 	}
 	p.refreshStatCache()
 	return p, nil
@@ -234,20 +180,14 @@ func NewPoolChecked(info *sema.Info, seeds [][]byte, opts Options) (*Pool, error
 // only when no shard goroutine is running: at construction, at every
 // synchronization barrier, and after a checkpoint restore.
 func (p *Pool) refreshStatCache() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.statShards == nil {
-		p.statShards = make([]fuzz.Stats, len(p.shards))
-	}
-	if p.statCrashes == nil {
-		p.statCrashes = map[string]bool{}
-	}
+	stats := make([]fuzz.Stats, len(p.shards))
 	for si, s := range p.shards {
-		p.statShards[si] = s.c.Stats()
-		for _, cr := range s.c.Crashes() {
-			p.statCrashes[string(cr.Input)] = true
-		}
+		stats[si] = s.c.Stats()
 	}
+	crashes := len(p.Crashes())
+	p.mu.Lock()
+	p.statShards, p.statCrashes = stats, crashes
+	p.mu.Unlock()
 }
 
 // ShardSeed derives shard si's fuzzer RNG seed from the base seed.
@@ -272,12 +212,9 @@ func ShardSeed(base int64, si int) int64 {
 // returns. A shard that panics is retired with its error recorded;
 // the remaining shards keep fuzzing.
 func (p *Pool) Run(ctx context.Context, budget int64) PoolStats {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	chunk := p.opts.SyncEvery
-	if chunk <= 0 {
-		chunk = budget / 8
+	p.chunk = p.opts.SyncEvery
+	if p.chunk <= 0 {
+		p.chunk = budget / 8
 	}
 	if len(p.shards) == 1 && p.saver == nil {
 		// A single shard needs no barriers, so the whole budget runs in
@@ -286,93 +223,49 @@ func (p *Pool) Run(ctx context.Context, budget int64) PoolStats {
 		// points, so the shard chunks like a multi-shard pool; fresh
 		// and resumed runs then share the same chunking, which is what
 		// makes resume execution-equivalent.
-		chunk = budget
+		p.chunk = budget
 	}
-	if chunk < 1 {
-		chunk = budget
+	if p.chunk < 1 {
+		p.chunk = budget
 	}
-	var spent int64
-	for spent < budget && ctx.Err() == nil {
-		step := chunk
-		if rem := budget - spent; step > rem {
-			step = rem
-		}
-		var wg sync.WaitGroup
-		for si, s := range p.shards {
-			if s.dead {
-				continue
-			}
-			wg.Add(1)
-			go func(si int, s *shard) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						p.mu.Lock()
-						s.dead = true
-						s.err = fmt.Errorf("difffuzz: shard %d panicked: %v\n%s", si, r, debug.Stack())
-						p.mu.Unlock()
-					}
-				}()
-				if p.epochHook != nil {
-					p.epochHook(si)
-				}
-				s.c.Run(step)
-			}(si, s)
-		}
-		wg.Wait()
-		spent += step
-		p.spentTotal.Add(step)
-		p.synchronize()
-		if p.recorder != nil {
-			p.recorder.Record(p.snapshot())
-		}
-		if p.saver != nil {
-			p.sinceCkpt++
-			if p.sinceCkpt >= p.ckptEvery {
-				p.saveCheckpoint()
-			}
-		}
-		if p.opts.BarrierHook != nil {
-			// Last, so the hook observes the post-merge, post-checkpoint
-			// state: a heartbeat written here never claims progress the
-			// durable checkpoint does not yet hold beyond one interval.
-			p.opts.BarrierHook(p.Stats())
-		}
-		if p.liveShards() == 0 {
-			break
-		}
-	}
-	// A checkpoint-due barrier may not have been the last one (or the
-	// budget may not divide evenly); make the final state durable so a
-	// follow-up resume loses nothing.
-	if p.saver != nil && p.sinceCkpt > 0 {
-		p.saveCheckpoint()
-	}
-	if ctx.Err() != nil {
-		// Cancellation ends the campaign mid-budget: emit a final
-		// snapshot reflecting the merged post-barrier state and flush
-		// the plot file, so the telemetry tail is not lost if the
-		// process exits without calling Close.
-		if p.recorder != nil {
-			p.recorder.Record(p.snapshot())
-			_ = p.recorder.Sync()
-			_ = p.recorder.Close()
-		}
-	}
+	p.left = budget
+	p.run(ctx, p)
 	return p.Stats()
 }
 
-// saveCheckpoint snapshots the pool at a barrier. Save failures never
-// stop the campaign — the previous checkpoint (if any) stays loadable
-// — but the first one is logged.
-func (p *Pool) saveCheckpoint() {
-	p.sinceCkpt = 0
-	if err := p.saver.Save(p.exportState()); err != nil {
-		if !p.ckptLogged {
-			log.Printf("difffuzz: checkpoint save failed (campaign continues on the previous checkpoint): %v", err)
-			p.ckptLogged = true
-		}
+// next sizes the next epoch: a full chunk, or what is left of the
+// budget.
+func (p *Pool) next(int) bool {
+	p.step = min(p.chunk, p.left)
+	return p.left > 0
+}
+
+// work fuzzes one shard for the epoch.
+func (p *Pool) work(_ context.Context, si int) {
+	if p.epochHook != nil {
+		p.epochHook(si)
 	}
+	p.shards[si].c.Run(p.step)
+}
+
+// merge books the epoch's budget and runs the barrier body.
+func (p *Pool) merge() bool {
+	p.left -= p.step
+	p.spentTotal.Add(p.step)
+	p.synchronize()
+	return true
+}
+
+// afterBarrier runs last at every barrier, after the checkpoint, so a
+// heartbeat written by BarrierHook never claims progress the durable
+// checkpoint does not yet hold beyond one interval. A pool whose
+// shards are all retired stops instead of spinning through empty
+// epochs.
+func (p *Pool) afterBarrier() bool {
+	if p.opts.BarrierHook != nil {
+		p.opts.BarrierHook(p.Stats())
+	}
+	return p.live() > 0
 }
 
 // snapshot aggregates the shard counters into one pool-wide progress
@@ -381,7 +274,6 @@ func (p *Pool) saveCheckpoint() {
 func (p *Pool) snapshot() telemetry.Snapshot {
 	var s telemetry.Snapshot
 	var classes [telemetry.NumClasses]int64
-	crashes := map[string]bool{}
 	plateau := int64(-1)
 	for si, sh := range p.shards {
 		m := sh.c.metrics
@@ -392,11 +284,8 @@ func (p *Pool) snapshot() telemetry.Snapshot {
 			classes[k] += n
 		}
 		s.Queue += st.Seeds
-		for _, cr := range sh.c.Crashes() {
-			crashes[string(cr.Input)] = true
-		}
 		age := st.Execs - st.LastNewPath
-		if !sh.dead && (plateau < 0 || age < plateau) {
+		if !p.dead[si] && (plateau < 0 || age < plateau) {
 			plateau = age
 		}
 		role := "main"
@@ -411,14 +300,14 @@ func (p *Pool) snapshot() telemetry.Snapshot {
 			UniqueDiffs:   sh.c.diffs.Len(),
 			UniqueBuckets: sh.c.buckets.Len(),
 			PlateauExecs:  age,
-			Retired:       sh.dead,
+			Retired:       p.dead[si],
 		})
 	}
 	s.SetClasses(classes)
 	s.UniqueDiffs = p.store.Len()
 	s.TotalDiffInputs = p.store.Total()
 	s.UniqueBuckets = p.buckets.Len()
-	s.UniqueCrashes = len(crashes)
+	s.UniqueCrashes = len(p.Crashes())
 	s.PersistErrors = p.persistErrors()
 	if plateau > 0 {
 		s.PlateauExecs = plateau
@@ -436,16 +325,6 @@ func (p *Pool) persistErrors() int64 {
 	return n
 }
 
-func (p *Pool) liveShards() int {
-	n := 0
-	for _, s := range p.shards {
-		if !s.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // synchronize is the barrier body. It runs single-threaded (all
 // shard goroutines have joined), in shard-index order, which keeps
 // the shared store's discovery order deterministic.
@@ -453,6 +332,7 @@ func (p *Pool) synchronize() {
 	// 1. Merge each shard's new discrepancies into the shared store
 	// and remember the diff-triggering inputs that were new pool-wide.
 	var freshInputs [][]byte
+	totals := map[uint64]int{}
 	for _, s := range p.shards {
 		delta := s.c.diffs.Since(s.diffsSynced)
 		s.diffsSynced += len(delta)
@@ -471,33 +351,18 @@ func (p *Pool) synchronize() {
 		for _, d := range fresh {
 			freshInputs = append(freshInputs, d.Outcome.Input)
 		}
-	}
-
-	// 2. Recount: the shared store's per-signature counts become the
-	// exact sum over shard-local stores.
-	totals := map[uint64]int{}
-	for _, s := range p.shards {
+		// 2. Recount: the shared store's per-signature counts become
+		// the exact sum over shard-local stores.
 		for sig, c := range s.c.diffs.Counts() {
 			totals[sig] += c
 		}
 	}
 	p.store.Recount(totals)
 
-	// 2b. Same merge-then-recount for the triage buckets: new bucket
-	// keys are absorbed in shard order, and per-bucket hit counts
-	// become the exact sum over shard-local stores.
-	for _, s := range p.shards {
-		delta := s.c.buckets.Since(s.bucketsSynced)
-		s.bucketsSynced += len(delta)
-		p.buckets.Absorb(delta)
-	}
-	bucketTotals := map[uint64]int{}
-	for _, s := range p.shards {
-		for key, c := range s.c.buckets.Counts() {
-			bucketTotals[key] += c
-		}
-	}
-	p.buckets.Recount(bucketTotals)
+	// 2b. Same merge-then-recount for the triage buckets.
+	p.mergeBuckets(len(p.shards), func(i int) (*triage.BucketStore, *int) {
+		return p.shards[i].c.buckets, &p.shards[i].bucketsSynced
+	})
 
 	// 3. Cross-pollinate, AFL -M/-S style: every sibling imports the
 	// coverage-fresh queue entries and new diff inputs it has not
@@ -510,8 +375,8 @@ func (p *Pool) synchronize() {
 				newSeeds = append(newSeeds, q.Data)
 			}
 		}
-		for _, other := range p.shards {
-			if other == s || other.dead {
+		for oi, other := range p.shards {
+			if other == s || p.dead[oi] {
 				continue
 			}
 			for _, data := range newSeeds {
@@ -519,8 +384,8 @@ func (p *Pool) synchronize() {
 			}
 		}
 	}
-	for _, s := range p.shards {
-		if s.dead {
+	for si, s := range p.shards {
+		if p.dead[si] {
 			continue
 		}
 		for _, data := range freshInputs {
@@ -544,10 +409,8 @@ func (p *Pool) Stats() PoolStats {
 	st := PoolStats{Shards: len(p.shards)}
 	p.mu.Lock()
 	st.ShardStats = append([]fuzz.Stats(nil), p.statShards...)
-	st.UniqueCrashes = len(p.statCrashes)
-	for _, s := range p.shards {
-		st.ShardErrors = append(st.ShardErrors, s.err)
-	}
+	st.UniqueCrashes = p.statCrashes
+	st.ShardErrors = append([]error(nil), p.errs...)
 	p.mu.Unlock()
 	for _, fs := range st.ShardStats {
 		st.Execs += fs.Execs
@@ -558,10 +421,7 @@ func (p *Pool) Stats() PoolStats {
 	st.UniqueDiffs = p.store.Len()
 	st.TotalDiffInputs = p.store.Total()
 	st.UniqueBuckets = p.buckets.Len()
-	kinds := p.buckets.KindCounts()
-	st.CompileDivergences = kinds[triage.KindCompileDivergence]
-	st.ICEs = kinds[triage.KindICE]
-	st.DiagMismatches = kinds[triage.KindDiagMismatch]
+	st.CompileDivergences, st.ICEs, st.DiagMismatches, _ = p.kinds()
 	st.PersistErrors = p.persistErrors()
 	st.SpentExecs = p.spentTotal.Load()
 	return st
@@ -587,17 +447,6 @@ func (p *Pool) Signatures() []uint64 {
 	return sigs
 }
 
-// Buckets returns the pool-wide fingerprint-deduplicated findings in
-// merge order.
-func (p *Pool) Buckets() []*triage.Bucket { return p.buckets.Buckets() }
-
-// BucketStore exposes the pool-wide triage store.
-func (p *Pool) BucketStore() *triage.BucketStore { return p.buckets }
-
-// BucketKeys returns the sorted bucket-key set — the triage analog of
-// Signatures, stable across shard counts and scheduling.
-func (p *Pool) BucketKeys() []uint64 { return p.buckets.Keys() }
-
 // Crashes returns every shard's B_fuzz crashes, content-deduplicated,
 // in deterministic (shard, fuzzer) order.
 func (p *Pool) Crashes() []*fuzz.Crash {
@@ -622,15 +471,6 @@ func (p *Pool) ImplNames() []string { return p.shards[0].c.ImplNames() }
 // Run calls; campaigns are not concurrency-safe).
 func (p *Pool) ShardCampaign(si int) *Campaign { return p.shards[si].c }
 
-// Snapshots returns the pool's recorded progress series — one entry
-// per synchronization barrier (empty when stats are disabled).
-func (p *Pool) Snapshots() []telemetry.Snapshot {
-	if p.recorder == nil {
-		return nil
-	}
-	return p.recorder.Snapshots()
-}
-
 // ImplSummaries merges the per-implementation telemetry across shards
 // (shards share the implementation set, so position identifies the
 // implementation). Nil when stats are disabled.
@@ -643,12 +483,4 @@ func (p *Pool) ImplSummaries() []telemetry.ImplSummary {
 		out = telemetry.MergeImplSummaries(out, s.c.metrics.Suite.Summaries())
 	}
 	return out
-}
-
-// Close releases the stats recorder's plot file, if any.
-func (p *Pool) Close() error {
-	if p.recorder == nil {
-		return nil
-	}
-	return p.recorder.Close()
 }

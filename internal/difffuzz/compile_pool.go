@@ -16,9 +16,6 @@ package difffuzz
 import (
 	"context"
 	"fmt"
-	"log"
-	"runtime/debug"
-	"sync"
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
@@ -73,19 +70,77 @@ type CompilePoolOptions struct {
 	resume bool
 }
 
-func (o CompilePoolOptions) configs() []compiler.Config {
-	if len(o.Configs) > 0 {
-		return o.Configs
+// configsOrDefault is cfgs, or the paper's ten implementations when
+// none are given.
+func configsOrDefault(cfgs []compiler.Config) []compiler.Config {
+	if len(cfgs) > 0 {
+		return cfgs
 	}
 	return compiler.DefaultSet()
 }
 
-func (o CompilePoolOptions) runtimeInputs() [][]byte {
-	if len(o.RuntimeInputs) > 0 {
-		return o.RuntimeInputs
+// inputsOrEmpty is inputs, or just the empty input when none are given.
+func inputsOrEmpty(inputs [][]byte) [][]byte {
+	if len(inputs) > 0 {
+		return inputs
 	}
 	return [][]byte{nil}
 }
+
+// oracle is the program-level differential oracle the compile and
+// evolve pools share: a k-way compile through the compiled-program
+// cache, then a fresh suite for the runtime cross-check when every
+// implementation accepts. Shards share compiled programs read-only,
+// never execution state: every assemble builds new machines.
+type oracle struct {
+	cfgs   []compiler.Config
+	cache  *progcache.Cache
+	copts  core.Options
+	inputs [][]byte // the runtime cross-check inputs
+}
+
+func newOracle(cfgs []compiler.Config, cacheBudget, stepLimit int64, parallelism int, inputs [][]byte) (oracle, error) {
+	cfgs = configsOrDefault(cfgs)
+	if len(cfgs) < 2 {
+		return oracle{}, fmt.Errorf("difffuzz: need at least 2 compiler implementations, got %d", len(cfgs))
+	}
+	return oracle{
+		cfgs:   cfgs,
+		cache:  progcache.New(cacheBudget),
+		copts:  core.Options{StepLimit: stepLimit, Parallelism: parallelism},
+		inputs: inputsOrEmpty(inputs),
+	}, nil
+}
+
+// assemble compiles src, serving revisits from the cache (a record is
+// a pure function of the source, so hits and misses produce identical
+// outcomes), and builds its differential suite. ok is false for a
+// uniform front-end reject. Otherwise suite is nil exactly when some
+// implementation rejected or crashed, and co says how.
+func (o *oracle) assemble(src string) (comp *progcache.Compiled, suite *core.Suite, co *core.CompileOutcome, ok bool) {
+	comp = o.cache.Get(src, o.cfgs, o.copts.Parallelism)
+	if comp.FrontendErr != nil {
+		return comp, nil, nil, false
+	}
+	suite, co, err := core.AssembleDifferential(comp.Results, o.cfgs, o.copts)
+	return comp, suite, co, err == nil
+}
+
+// ImplNames returns the implementation names, suite order.
+func (o *oracle) ImplNames() []string {
+	names := make([]string, len(o.cfgs))
+	for i, cfg := range o.cfgs {
+		names[i] = cfg.Name()
+	}
+	return names
+}
+
+// CacheStats exposes the compiled-program cache counters: hits are
+// revisits served without recompiling. Deliberately not part of the
+// pool stats — the counters are process-local (a resumed pool starts
+// cold), while the stats structs are the cross-resume determinism
+// fingerprints.
+func (o *oracle) CacheStats() progcache.Stats { return o.cache.Stats() }
 
 // CompilePoolStats is the campaign summary.
 type CompilePoolStats struct {
@@ -121,7 +176,6 @@ type CompilePoolStats struct {
 // and store are written only by the shard goroutine during an epoch
 // and read only at barriers.
 type compileShard struct {
-	index         int
 	buckets       *triage.BucketStore
 	bucketsSynced int
 
@@ -129,29 +183,21 @@ type compileShard struct {
 	accepted        int64
 	frontendRejects int64
 	findings        int64
-
-	dead bool
-	err  error
 }
 
 // CompilePool is the sharded compile-oracle campaign.
 type CompilePool struct {
+	driver
+	oracle
+
 	opts   CompilePoolOptions
-	cfgs   []compiler.Config
 	corpus []string
 	cursor int
+	// chunk is the barrier interval; start and end bound the current
+	// epoch's corpus slice.
+	chunk, start, end int
 
-	shards  []*compileShard
-	buckets *triage.BucketStore
-	cache   *progcache.Cache
-
-	saver       *checkpoint.Saver
-	ckptEvery   int64
-	sinceCkpt   int64
-	ckptLogged  bool
-	optionsHash uint64
-
-	recorder *telemetry.Recorder
+	shards []*compileShard
 
 	// epochHook runs at the top of each epoch (test seam, like Pool's).
 	epochHook func(epoch int)
@@ -164,15 +210,11 @@ type CompilePool struct {
 // CampaignHash.
 func CompileCampaignHash(corpus []string, opts CompilePoolOptions) uint64 {
 	d := hash.New128(0xcc01)
-	for _, cfg := range opts.configs() {
+	for _, cfg := range configsOrDefault(opts.Configs) {
 		fmt.Fprintf(d, "cfg:%s\n", cfg.Name())
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	fmt.Fprintf(d, "step:%d shards:%d sync:%d\n", opts.StepLimit, shards, opts.SyncEvery)
-	for _, in := range opts.runtimeInputs() {
+	fmt.Fprintf(d, "step:%d shards:%d sync:%d\n", opts.StepLimit, max(opts.Shards, 1), opts.SyncEvery)
+	for _, in := range inputsOrEmpty(opts.RuntimeInputs) {
 		fmt.Fprintf(d, "input:%d:", len(in))
 		d.Write(in)
 	}
@@ -188,47 +230,27 @@ func NewCompilePool(corpus []string, opts CompilePoolOptions) (*CompilePool, err
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("difffuzz: compile pool needs a non-empty program corpus")
 	}
-	cfgs := opts.configs()
-	if len(cfgs) < 2 {
-		return nil, fmt.Errorf("difffuzz: need at least 2 compiler implementations, got %d", len(cfgs))
+	orc, err := newOracle(opts.Configs, opts.CacheBudget, opts.StepLimit, opts.Parallelism, opts.RuntimeInputs)
+	if err != nil {
+		return nil, err
 	}
-	nshards := opts.Shards
-	if nshards < 1 {
-		nshards = 1
+	opts.Shards = max(opts.Shards, 1)
+	p := &CompilePool{oracle: orc, opts: opts, corpus: append([]string(nil), corpus...)}
+	for i := 0; i < opts.Shards; i++ {
+		p.shards = append(p.shards, &compileShard{buckets: triage.NewBucketStore()})
 	}
-	opts.Shards = nshards
-	if opts.CheckpointDir != "" && !opts.resume && checkpoint.Exists(opts.CheckpointDir) {
-		return nil, fmt.Errorf("difffuzz: checkpoint directory %s already holds a campaign (resume it, or use a fresh directory)", opts.CheckpointDir)
-	}
-
-	p := &CompilePool{
-		opts:        opts,
-		cfgs:        cfgs,
-		corpus:      append([]string(nil), corpus...),
-		buckets:     triage.NewBucketStore(),
-		cache:       progcache.New(opts.CacheBudget),
-		optionsHash: CompileCampaignHash(corpus, opts),
-	}
-	for i := 0; i < nshards; i++ {
-		p.shards = append(p.shards, &compileShard{index: i, buckets: triage.NewBucketStore()})
-	}
-	if opts.StatsDir != "" {
-		rec, err := telemetry.NewRecorder(opts.StatsDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: stats: %w", err)
-		}
-		p.recorder = rec
-	}
-	if opts.CheckpointDir != "" {
-		saver, err := checkpoint.NewSaver(opts.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: %w", err)
-		}
-		p.saver = saver
-		p.ckptEvery = opts.CheckpointEvery
-		if p.ckptEvery < 1 {
-			p.ckptEvery = 1
-		}
+	err = p.open(driverConfig{
+		shards:          opts.Shards,
+		shardName:       "compile shard",
+		checkpointDir:   opts.CheckpointDir,
+		checkpointEvery: opts.CheckpointEvery,
+		optionsHash:     CompileCampaignHash(corpus, opts),
+		resume:          opts.resume,
+		stats:           opts.StatsDir != "",
+		statsDir:        opts.StatsDir,
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -237,128 +259,61 @@ func NewCompilePool(corpus []string, opts CompilePoolOptions) (*CompilePool, err
 // opts.CheckpointDir. Error classification matches ResumePool:
 // ErrNoCheckpoint, ErrMismatch, ErrCorrupt.
 func ResumeCompilePool(corpus []string, opts CompilePoolOptions) (*CompilePool, error) {
-	if opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("difffuzz: resume requires CheckpointDir")
-	}
-	st, _, err := checkpoint.Load(opts.CheckpointDir)
-	if err != nil {
-		return nil, err
-	}
-	h := CompileCampaignHash(corpus, opts)
-	if st.OptionsHash != h {
-		return nil, fmt.Errorf("%w: checkpoint options hash %016x, this campaign hashes to %016x (same corpus and campaign options required)",
-			checkpoint.ErrMismatch, st.OptionsHash, h)
-	}
-	opts.resume = true
-	p, err := NewCompilePool(corpus, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.restore(st); err != nil {
-		return nil, fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	return p, nil
+	return resumeFrom(opts.CheckpointDir, CompileCampaignHash(corpus, opts), "corpus and campaign options", func() (*CompilePool, error) {
+		opts.resume = true
+		return NewCompilePool(corpus, opts)
+	})
 }
 
 // Run processes the corpus from the current cursor to the end (or
 // until ctx is cancelled), merging and checkpointing at barriers.
 // Safe to call again after cancellation to finish the remainder.
 func (p *CompilePool) Run(ctx context.Context) CompilePoolStats {
-	if ctx == nil {
-		ctx = context.Background()
+	p.chunk = p.opts.SyncEvery
+	if p.chunk <= 0 {
+		p.chunk = len(p.corpus)
 	}
-	chunk := p.opts.SyncEvery
-	if chunk <= 0 {
-		chunk = len(p.corpus)
-	}
-	epoch := 0
-	for p.cursor < len(p.corpus) && ctx.Err() == nil {
-		if p.epochHook != nil {
-			p.epochHook(epoch)
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		end := p.cursor + chunk
-		if end > len(p.corpus) {
-			end = len(p.corpus)
-		}
-		start := p.cursor
-		var wg sync.WaitGroup
-		for _, sh := range p.shards {
-			if sh.dead {
-				continue
-			}
-			wg.Add(1)
-			go func(sh *compileShard) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						sh.dead = true
-						sh.err = fmt.Errorf("difffuzz: compile shard %d panicked: %v\n%s", sh.index, r, debug.Stack())
-					}
-				}()
-				for i := start; i < end; i++ {
-					if i%len(p.shards) == sh.index {
-						p.processProgram(sh, p.corpus[i])
-					}
-				}
-			}(sh)
-		}
-		wg.Wait()
-		p.cursor = end
-		epoch++
-		p.synchronizeCompile()
-		if p.recorder != nil {
-			p.recorder.Record(p.snapshotCompile())
-		}
-		if p.saver != nil {
-			p.sinceCkpt++
-			if p.sinceCkpt >= p.ckptEvery {
-				p.saveCompileCheckpoint()
-			}
-		}
-	}
-	if p.saver != nil && p.sinceCkpt > 0 {
-		p.saveCompileCheckpoint()
-	}
-	if p.recorder != nil {
-		// A cancelled epoch never reached its barrier snapshot; record
-		// the final state, then flush so process exit cannot lose it.
-		// On cancellation the recorder is closed outright, matching the
-		// runtime pool: a signal-driven exit path may never call Close,
-		// and the plot.jsonl tail must be complete anyway (Close stays
-		// a no-op afterwards).
-		if ctx.Err() != nil {
-			p.recorder.Record(p.snapshotCompile())
-			_ = p.recorder.Sync()
-			_ = p.recorder.Close()
-		} else {
-			_ = p.recorder.Sync()
-		}
-	}
+	p.run(ctx, p)
 	return p.Stats()
+}
+
+// next runs the epoch hook and selects the next corpus slice.
+func (p *CompilePool) next(epoch int) bool {
+	if p.cursor >= len(p.corpus) {
+		return false
+	}
+	if p.epochHook != nil {
+		p.epochHook(epoch)
+	}
+	p.start, p.end = p.cursor, min(p.cursor+p.chunk, len(p.corpus))
+	return true
+}
+
+// work processes the programs of the epoch's slice that shard si owns.
+func (p *CompilePool) work(_ context.Context, si int) {
+	for i := p.start; i < p.end; i++ {
+		if i%len(p.shards) == si {
+			p.processProgram(p.shards[si], p.corpus[i])
+		}
+	}
+}
+
+// merge advances the cursor past the epoch's slice — a retired
+// shard's programs included — and merges the shard buckets.
+func (p *CompilePool) merge() bool {
+	p.cursor = p.end
+	p.mergeBuckets(len(p.shards), func(i int) (*triage.BucketStore, *int) {
+		return p.shards[i].buckets, &p.shards[i].bucketsSynced
+	})
+	return true
 }
 
 // processProgram feeds one corpus program through the compile oracle
 // and, when universally accepted, the runtime oracle.
 func (p *CompilePool) processProgram(sh *compileShard, src string) {
 	sh.programs++
-	// The cache serves revisits of an already-seen source without
-	// re-running the front end or the k lowerings; the record is a
-	// pure function of the source, so hit and miss paths produce
-	// identical outcomes. Machines are built fresh per call — shards
-	// share compiled programs read-only, never execution state.
-	comp := p.cache.Get(src, p.cfgs, p.opts.Parallelism)
-	if comp.FrontendErr != nil {
-		sh.frontendRejects++
-		return
-	}
-	suite, co, err := core.AssembleDifferential(comp.Results, p.cfgs, core.Options{
-		StepLimit:   p.opts.StepLimit,
-		Parallelism: p.opts.Parallelism,
-	})
-	if err != nil {
+	_, suite, co, ok := p.assemble(src)
+	if !ok {
 		sh.frontendRejects++
 		return
 	}
@@ -373,7 +328,7 @@ func (p *CompilePool) processProgram(sh *compileShard, src string) {
 		return
 	}
 	sh.accepted++
-	for _, in := range p.opts.runtimeInputs() {
+	for _, in := range p.inputs {
 		if o := suite.Run(in); o != nil && o.Diverged {
 			sh.findings++
 			sh.buckets.Add(o)
@@ -381,54 +336,20 @@ func (p *CompilePool) processProgram(sh *compileShard, src string) {
 	}
 }
 
-// synchronizeCompile is the barrier body: merge-then-recount of the
-// shard-local bucket stores, in shard order, exactly like Pool's.
-func (p *CompilePool) synchronizeCompile() {
-	for _, sh := range p.shards {
-		delta := sh.buckets.Since(sh.bucketsSynced)
-		sh.bucketsSynced += len(delta)
-		p.buckets.Absorb(delta)
-	}
-	totals := map[uint64]int{}
-	for _, sh := range p.shards {
-		for key, c := range sh.buckets.Counts() {
-			totals[key] += c
-		}
-	}
-	p.buckets.Recount(totals)
-}
-
-// saveCompileCheckpoint snapshots the pool at a barrier. Failures
-// never stop the campaign; the previous checkpoint stays loadable.
-func (p *CompilePool) saveCompileCheckpoint() {
-	p.sinceCkpt = 0
-	if err := p.saver.Save(p.exportCompileState()); err != nil {
-		if !p.ckptLogged {
-			log.Printf("difffuzz: checkpoint save failed (campaign continues on the previous checkpoint): %v", err)
-			p.ckptLogged = true
-		}
-	}
-}
-
 // exportCompileState builds the durable snapshot: pool buckets in
 // full, shard buckets as skeletons, and the corpus cursor.
 func (p *CompilePool) exportCompileState() *checkpoint.State {
-	st := &checkpoint.State{
-		Version:     checkpoint.Version,
-		OptionsHash: p.optionsHash,
-		SpentExecs:  int64(p.cursor),
-	}
-	st.Buckets, st.BucketTotal = p.buckets.Export()
+	st := p.newState(int64(p.cursor))
 	cs := &checkpoint.CompileCampaignState{Cursor: p.cursor, CorpusLen: len(p.corpus)}
-	for _, sh := range p.shards {
+	for si, sh := range p.shards {
 		snaps, total := sh.buckets.Export()
 		for i := range snaps {
 			snaps[i].Outcome = nil // skeleton: keys, counts, signatures
 			snaps[i].Compile = nil
 		}
 		cs.Shards = append(cs.Shards, checkpoint.CompileShardState{
-			Index:           sh.index,
-			Dead:            sh.dead,
+			Index:           si,
+			Dead:            p.dead[si],
 			Programs:        sh.programs,
 			Accepted:        sh.accepted,
 			FrontendRejects: sh.frontendRejects,
@@ -440,6 +361,8 @@ func (p *CompilePool) exportCompileState() *checkpoint.State {
 	st.Compile = cs
 	return st
 }
+
+func (p *CompilePool) exportState() *checkpoint.State { return p.exportCompileState() }
 
 // restore rebuilds pool state from a loaded snapshot.
 func (p *CompilePool) restore(st *checkpoint.State) error {
@@ -462,7 +385,7 @@ func (p *CompilePool) restore(st *checkpoint.State) error {
 		sh := p.shards[i]
 		sh.buckets = triage.RestoreBucketStore(ss.Buckets, ss.BucketTotal)
 		sh.bucketsSynced = len(ss.Buckets)
-		sh.dead = ss.Dead
+		p.dead[i] = ss.Dead
 		sh.programs = ss.Programs
 		sh.accepted = ss.Accepted
 		sh.frontendRejects = ss.FrontendRejects
@@ -471,91 +394,29 @@ func (p *CompilePool) restore(st *checkpoint.State) error {
 	return nil
 }
 
-// snapshotCompile aggregates shard counters into a telemetry record.
-// Execs counts processed programs (each is one k-way compile).
-func (p *CompilePool) snapshotCompile() telemetry.Snapshot {
-	var s telemetry.Snapshot
-	for _, sh := range p.shards {
-		s.Programs += sh.programs
-	}
-	s.Execs = s.Programs
-	s.UniqueBuckets = p.buckets.Len()
-	kinds := p.buckets.KindCounts()
-	s.CompileDivergences = kinds[triage.KindCompileDivergence]
-	s.ICEs = kinds[triage.KindICE]
-	s.DiagMismatches = kinds[triage.KindDiagMismatch]
-	return s
+// snapshot aggregates shard counters into a telemetry record. Execs
+// counts processed programs (each is one k-way compile).
+func (p *CompilePool) snapshot() telemetry.Snapshot {
+	st := p.Stats()
+	return telemetry.Snapshot{Programs: st.Programs, Execs: st.Programs, UniqueBuckets: st.UniqueBuckets,
+		CompileDivergences: st.CompileDivergences, ICEs: st.ICEs, DiagMismatches: st.DiagMismatches}
 }
 
 // Stats summarizes the campaign so far.
 func (p *CompilePool) Stats() CompilePoolStats {
 	st := CompilePoolStats{
-		Shards:    len(p.shards),
-		Cursor:    p.cursor,
-		CorpusLen: len(p.corpus),
+		Shards:      len(p.shards),
+		Cursor:      p.cursor,
+		CorpusLen:   len(p.corpus),
+		ShardErrors: p.shardErrors(),
 	}
 	for _, sh := range p.shards {
 		st.Programs += sh.programs
 		st.Accepted += sh.accepted
 		st.FrontendRejects += sh.frontendRejects
 		st.Findings += sh.findings
-		st.ShardErrors = append(st.ShardErrors, sh.err)
 	}
 	st.UniqueBuckets = p.buckets.Len()
-	kinds := p.buckets.KindCounts()
-	st.CompileDivergences = kinds[triage.KindCompileDivergence]
-	st.ICEs = kinds[triage.KindICE]
-	st.DiagMismatches = kinds[triage.KindDiagMismatch]
-	st.RuntimeBuckets = kinds[triage.KindRuntime]
+	st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets = p.kinds()
 	return st
-}
-
-// CacheStats exposes the compiled-program cache counters: hits are
-// corpus revisits served without recompilation. Deliberately not part
-// of CompilePoolStats — the counters are process-local (a resumed
-// pool starts cold), while the stats struct is the cross-resume
-// determinism fingerprint.
-func (p *CompilePool) CacheStats() progcache.Stats { return p.cache.Stats() }
-
-// BucketStore exposes the pool-wide store (reports, tables).
-func (p *CompilePool) BucketStore() *triage.BucketStore { return p.buckets }
-
-// BucketKeys is the sorted bucket-key set — the order-independent
-// fingerprint of the campaign's findings.
-func (p *CompilePool) BucketKeys() []uint64 { return p.buckets.Keys() }
-
-// ImplNames returns the implementation names, suite order.
-func (p *CompilePool) ImplNames() []string {
-	names := make([]string, len(p.cfgs))
-	for i, cfg := range p.cfgs {
-		names[i] = cfg.Name()
-	}
-	return names
-}
-
-// CheckpointSeq is the last durable checkpoint's sequence number (0
-// when none was written).
-func (p *CompilePool) CheckpointSeq() int {
-	if p.saver == nil {
-		return 0
-	}
-	return p.saver.Seq()
-}
-
-// Snapshots returns the recorded progress series — one entry per
-// synchronization barrier, plus the final post-cancel snapshot when a
-// run was cancelled (empty when stats are disabled).
-func (p *CompilePool) Snapshots() []telemetry.Snapshot {
-	if p.recorder == nil {
-		return nil
-	}
-	return p.recorder.Snapshots()
-}
-
-// Close releases observability resources (the stats recorder). A
-// no-op when the recorder was already closed by a cancelled Run.
-func (p *CompilePool) Close() {
-	if p.recorder != nil {
-		_ = p.recorder.Close()
-	}
 }

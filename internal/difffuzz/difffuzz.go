@@ -102,10 +102,9 @@ type Options struct {
 	// CheckpointDir, when set, makes the pool write a crash-safe
 	// campaign snapshot (internal/checkpoint) at its synchronization
 	// barriers, so a killed campaign resumes via ResumePool with the
-	// findings and determinism of an uninterrupted run. Requires the
-	// source-level constructors (NewPool / ResumePool), which compute
-	// the options hash that guards against resuming under different
-	// settings. A single-shard pool with checkpointing runs in
+	// findings and determinism of an uninterrupted run; an options hash
+	// guards against resuming under different settings. A single-shard
+	// pool with checkpointing runs in
 	// SyncEvery-sized chunks (it needs barriers to snapshot at), so
 	// enable it on the fresh run too when comparing runs bit-for-bit.
 	CheckpointDir string
@@ -130,9 +129,6 @@ type Options struct {
 	// (set only by ResumePool); without it, NewPool refuses a
 	// CheckpointDir that already holds one.
 	resume bool
-	// ckptHash is the precomputed CampaignHash (set by NewPool before
-	// it delegates to NewPoolChecked).
-	ckptHash uint64
 }
 
 // statsEnabled reports whether any stats option asks for telemetry.
@@ -168,10 +164,10 @@ type Campaign struct {
 	// metrics is nil unless Options ask for stats; every instrumented
 	// branch on the hot path is a single nil check.
 	metrics *telemetry.CampaignMetrics
-	// recorder collects snapshots for a standalone campaign. Pool
+	// statsRecorder collects snapshots for a standalone campaign. Pool
 	// shards have metrics but no recorder: the pool snapshots at its
 	// barriers instead.
-	recorder   *telemetry.Recorder
+	statsRecorder
 	statsEvery int64
 
 	// Batch executor state (Options.BatchSize > 1). Generated inputs
@@ -190,6 +186,15 @@ type Campaign struct {
 
 // New builds a campaign for the MiniC source with initial seeds.
 func New(src string, seeds [][]byte, opts Options) (*Campaign, error) {
+	info, err := checkSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return NewChecked(info, seeds, opts)
+}
+
+// checkSource runs the front end: parse, then semantic checks.
+func checkSource(src string) (*sema.Info, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("difffuzz: parse: %w", err)
@@ -198,15 +203,12 @@ func New(src string, seeds [][]byte, opts Options) (*Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("difffuzz: check: %w", err)
 	}
-	return NewChecked(info, seeds, opts)
+	return info, nil
 }
 
 // NewChecked builds a campaign from an already-checked program.
 func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error) {
-	cfgs := opts.Configs
-	if len(cfgs) == 0 {
-		cfgs = compiler.DefaultSet()
-	}
+	cfgs := configsOrDefault(opts.Configs)
 
 	// B_fuzz: the fuzzer-configured binary with coverage
 	// instrumentation (and optionally a sanitizer), compiled exactly
@@ -264,13 +266,13 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 		batch = 1
 	}
 	c := &Campaign{
-		suite:      suite,
-		diffs:      core.NewDiffStore(opts.DiffDir),
-		buckets:    triage.NewBucketStore(),
-		metrics:    metrics,
-		recorder:   recorder,
-		statsEvery: opts.StatsEvery,
-		batchSize:  batch,
+		suite:         suite,
+		diffs:         core.NewDiffStore(opts.DiffDir),
+		buckets:       triage.NewBucketStore(),
+		metrics:       metrics,
+		statsRecorder: statsRecorder{recorder},
+		statsEvery:    opts.StatsEvery,
+		batchSize:     batch,
 	}
 	if batch > 1 {
 		c.batchOffs = make([]int, 1, batch+1)
@@ -454,15 +456,6 @@ func (c *Campaign) PersistErrors() int64 {
 // disabled.
 func (c *Campaign) Metrics() *telemetry.CampaignMetrics { return c.metrics }
 
-// Snapshots returns the recorded progress series (empty when stats are
-// disabled).
-func (c *Campaign) Snapshots() []telemetry.Snapshot {
-	if c.recorder == nil {
-		return nil
-	}
-	return c.recorder.Snapshots()
-}
-
 // ImplSummaries returns per-implementation outcome counts and latency
 // histograms, or nil when stats are disabled.
 func (c *Campaign) ImplSummaries() []telemetry.ImplSummary {
@@ -470,14 +463,6 @@ func (c *Campaign) ImplSummaries() []telemetry.ImplSummary {
 		return nil
 	}
 	return c.metrics.Suite.Summaries()
-}
-
-// Close releases the stats recorder's plot file, if any.
-func (c *Campaign) Close() error {
-	if c.recorder == nil {
-		return nil
-	}
-	return c.recorder.Close()
 }
 
 // Diffs returns the unique discrepancies found so far.

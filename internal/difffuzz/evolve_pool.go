@@ -16,17 +16,14 @@ package difffuzz
 import (
 	"context"
 	"fmt"
-	"log"
 	"math/bits"
-	"runtime/debug"
-	"sync"
+	"sync/atomic"
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
 	"compdiff/internal/core"
 	"compdiff/internal/evolve"
 	"compdiff/internal/hash"
-	"compdiff/internal/progcache"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/triage"
 )
@@ -70,20 +67,6 @@ type EvolvePoolOptions struct {
 
 	// resume marks pools built by ResumeEvolvePool.
 	resume bool
-}
-
-func (o EvolvePoolOptions) configs() []compiler.Config {
-	if len(o.Configs) > 0 {
-		return o.Configs
-	}
-	return compiler.DefaultSet()
-}
-
-func (o EvolvePoolOptions) runtimeInputs() [][]byte {
-	if len(o.RuntimeInputs) > 0 {
-		return o.RuntimeInputs
-	}
-	return [][]byte{nil}
 }
 
 func (o EvolvePoolOptions) withDefaults() EvolvePoolOptions {
@@ -155,8 +138,10 @@ type genomeEval struct {
 
 // EvolvePool is the sharded evolutionary campaign.
 type EvolvePool struct {
+	driver
+	oracle
+
 	opts EvolvePoolOptions
-	cfgs []compiler.Config
 
 	pop        []*evolve.Genome
 	generation int
@@ -164,27 +149,19 @@ type EvolvePool struct {
 	// the base the NewBits fitness term is scored against.
 	cum []compiler.PassBits
 
-	buckets *triage.BucketStore
-	cache   *progcache.Cache
-
 	programs        int64
 	frontendRejects int64
 	findings        int64
 	lastBest        float64
 	lastMean        float64
-	shardErrs       []error
 
-	saver       *checkpoint.Saver
-	ckptEvery   int64
-	sinceCkpt   int64
-	ckptLogged  bool
-	optionsHash uint64
+	// evals holds the current generation's measurements, positional by
+	// genome; cancelled marks a generation a shard left unfinished.
+	evals     []genomeEval
+	cancelled atomic.Bool
 
-	recorder *telemetry.Recorder
-
-	// genHook runs at the top of each generation; evalHook before each
-	// genome evaluation (test seams, like the other pools').
-	genHook  func(gen int)
+	// evalHook runs before each genome evaluation (test seam, like the
+	// other pools' epochHook).
 	evalHook func(gen, genome int)
 }
 
@@ -196,12 +173,12 @@ type EvolvePool struct {
 func EvolveCampaignHash(opts EvolvePoolOptions) uint64 {
 	opts = opts.withDefaults()
 	d := hash.New128(0xe701)
-	for _, cfg := range opts.configs() {
+	for _, cfg := range configsOrDefault(opts.Configs) {
 		fmt.Fprintf(d, "cfg:%s\n", cfg.Name())
 	}
 	fmt.Fprintf(d, "pop:%d gens:%d seed:%d shards:%d step:%d\n",
 		opts.Pop, opts.Generations, opts.Seed, opts.Shards, opts.StepLimit)
-	for _, in := range opts.runtimeInputs() {
+	for _, in := range inputsOrEmpty(opts.RuntimeInputs) {
 		fmt.Fprintf(d, "input:%d:", len(in))
 		d.Write(in)
 	}
@@ -219,41 +196,29 @@ func NewEvolvePool(opts EvolvePoolOptions) (*EvolvePool, error) {
 	if opts.Generations < 1 {
 		return nil, fmt.Errorf("difffuzz: evolve needs at least 1 generation, got %d", opts.Generations)
 	}
-	cfgs := opts.configs()
-	if len(cfgs) < 2 {
-		return nil, fmt.Errorf("difffuzz: need at least 2 compiler implementations, got %d", len(cfgs))
+	orc, err := newOracle(opts.Configs, opts.CacheBudget, opts.StepLimit, opts.Parallelism, opts.RuntimeInputs)
+	if err != nil {
+		return nil, err
 	}
-	if opts.CheckpointDir != "" && !opts.resume && checkpoint.Exists(opts.CheckpointDir) {
-		return nil, fmt.Errorf("difffuzz: checkpoint directory %s already holds a campaign (resume it, or use a fresh directory)", opts.CheckpointDir)
-	}
-
 	p := &EvolvePool{
-		opts:        opts,
-		cfgs:        cfgs,
-		pop:         evolve.SeedPopulation(opts.Seed, opts.Pop),
-		cum:         make([]compiler.PassBits, len(cfgs)),
-		buckets:     triage.NewBucketStore(),
-		cache:       progcache.New(opts.CacheBudget),
-		shardErrs:   make([]error, opts.Shards),
-		optionsHash: EvolveCampaignHash(opts),
+		oracle: orc,
+		opts:   opts,
+		pop:    evolve.SeedPopulation(opts.Seed, opts.Pop),
+		cum:    make([]compiler.PassBits, len(orc.cfgs)),
 	}
-	if opts.StatsDir != "" {
-		rec, err := telemetry.NewRecorder(opts.StatsDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: stats: %w", err)
-		}
-		p.recorder = rec
-	}
-	if opts.CheckpointDir != "" {
-		saver, err := checkpoint.NewSaver(opts.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: %w", err)
-		}
-		p.saver = saver
-		p.ckptEvery = opts.CheckpointEvery
-		if p.ckptEvery < 1 {
-			p.ckptEvery = 1
-		}
+	err = p.open(driverConfig{
+		shards:          opts.Shards,
+		shardName:       "evolve shard",
+		abortOnPanic:    true,
+		checkpointDir:   opts.CheckpointDir,
+		checkpointEvery: opts.CheckpointEvery,
+		optionsHash:     EvolveCampaignHash(opts),
+		resume:          opts.resume,
+		stats:           opts.StatsDir != "",
+		statsDir:        opts.StatsDir,
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -262,126 +227,67 @@ func NewEvolvePool(opts EvolvePoolOptions) (*EvolvePool, error) {
 // opts.CheckpointDir. Error classification matches the other pools:
 // ErrNoCheckpoint, ErrMismatch, ErrCorrupt.
 func ResumeEvolvePool(opts EvolvePoolOptions) (*EvolvePool, error) {
-	if opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("difffuzz: resume requires CheckpointDir")
-	}
-	st, _, err := checkpoint.Load(opts.CheckpointDir)
-	if err != nil {
-		return nil, err
-	}
-	h := EvolveCampaignHash(opts)
-	if st.OptionsHash != h {
-		return nil, fmt.Errorf("%w: checkpoint options hash %016x, this campaign hashes to %016x (same seed, population, and campaign options required)",
-			checkpoint.ErrMismatch, st.OptionsHash, h)
-	}
-	opts.resume = true
-	p, err := NewEvolvePool(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.restore(st); err != nil {
-		return nil, fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	return p, nil
+	return resumeFrom(opts.CheckpointDir, EvolveCampaignHash(opts), "seed, population, and campaign options", func() (*EvolvePool, error) {
+		opts.resume = true
+		return NewEvolvePool(opts)
+	})
 }
 
 // Run evolves from the current generation to the configured total (or
 // until ctx is cancelled), evaluating each generation sharded and
-// breeding at the barrier. Safe to call again after cancellation.
+// breeding at the barrier. A generation cancelled or panicking
+// mid-evaluation merges nothing and ends Run, so the last barrier's
+// checkpoint stays the resume point and resume re-evaluates that
+// generation identically. Safe to call again after cancellation.
 func (p *EvolvePool) Run(ctx context.Context) EvolvePoolStats {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for p.generation < p.opts.Generations && ctx.Err() == nil {
-		if p.genHook != nil {
-			p.genHook(p.generation)
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		evals, complete := p.evaluate(ctx)
-		if !complete {
-			// Cancelled mid-generation: nothing is merged, so the
-			// checkpointed barrier state stays the resume point and
-			// resume re-evaluates this generation identically.
-			break
-		}
-		fits := p.barrier(evals)
-		p.pop = evolve.NextGeneration(p.pop, fits, p.generation, p.opts.evolveOpts())
-		p.generation++
-		if p.recorder != nil {
-			p.recorder.Record(p.snapshotEvolve())
-		}
-		if p.saver != nil {
-			p.sinceCkpt++
-			if p.sinceCkpt >= p.ckptEvery {
-				p.saveEvolveCheckpoint()
-			}
-		}
-	}
-	if p.saver != nil && p.sinceCkpt > 0 {
-		p.saveEvolveCheckpoint()
-	}
-	if p.recorder != nil {
-		// Mirror the compile pool's cancellation discipline: on a
-		// cancelled run, record the final state and close outright so a
-		// signal-driven exit cannot lose the plot tail.
-		if ctx.Err() != nil {
-			p.recorder.Record(p.snapshotEvolve())
-			_ = p.recorder.Sync()
-			_ = p.recorder.Close()
-		} else {
-			_ = p.recorder.Sync()
-		}
-	}
+	p.run(ctx, p)
 	return p.Stats()
 }
 
-// evaluate measures every genome through the oracles, sharded by
-// genome index. Results are positional; complete is false when ctx
-// was cancelled before every live shard finished its slice.
-func (p *EvolvePool) evaluate(ctx context.Context) ([]genomeEval, bool) {
-	evals := make([]genomeEval, len(p.pop))
-	nshards := p.opts.Shards
-	var wg sync.WaitGroup
-	var cancelled bool
-	var mu sync.Mutex
-	for s := 0; s < nshards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					p.shardErrs[s] = fmt.Errorf("difffuzz: evolve shard %d panicked: %v\n%s", s, r, debug.Stack())
-					cancelled = true
-					mu.Unlock()
-				}
-			}()
-			for i := s; i < len(p.pop); i += nshards {
-				if p.evalHook != nil {
-					p.evalHook(p.generation, i)
-				}
-				if ctx.Err() != nil {
-					mu.Lock()
-					cancelled = true
-					mu.Unlock()
-					return
-				}
-				evals[i] = p.evalGenome(p.pop[i])
-			}
-		}(s)
+// next starts a generation's evaluation.
+func (p *EvolvePool) next(int) bool {
+	if p.generation >= p.opts.Generations {
+		return false
 	}
-	wg.Wait()
-	return evals, !cancelled
+	p.evals = make([]genomeEval, len(p.pop))
+	p.cancelled.Store(false)
+	return true
+}
+
+// work measures shard si's genomes (genome i belongs to shard i mod
+// Shards) through the oracles. Results are positional; a cancelled
+// context leaves the generation incomplete.
+func (p *EvolvePool) work(ctx context.Context, si int) {
+	for i := si; i < len(p.pop); i += p.opts.Shards {
+		if p.evalHook != nil {
+			p.evalHook(p.generation, i)
+		}
+		if ctx.Err() != nil {
+			p.cancelled.Store(true)
+			return
+		}
+		p.evals[i] = p.evalGenome(p.pop[i])
+	}
+}
+
+// merge folds a complete generation into fitness and breeds the next.
+func (p *EvolvePool) merge() bool {
+	if p.cancelled.Load() {
+		return false
+	}
+	fits := p.barrier(p.evals)
+	p.pop = evolve.NextGeneration(p.pop, fits, p.generation, p.opts.evolveOpts())
+	p.generation++
+	p.evals = nil
+	return true
 }
 
 // evalGenome runs one genome through the k-way compile (cached) and,
 // when universally accepted, the runtime oracle on every input.
 func (p *EvolvePool) evalGenome(g *evolve.Genome) genomeEval {
 	var ge genomeEval
-	comp := p.cache.Get(g.Src, p.cfgs, p.opts.Parallelism)
-	if comp.FrontendErr != nil {
+	comp, suite, co, ok := p.assemble(g.Src)
+	if !ok {
 		ge.eval.FrontendReject = true
 		return ge
 	}
@@ -389,20 +295,12 @@ func (p *EvolvePool) evalGenome(g *evolve.Genome) genomeEval {
 	for i := range comp.Results {
 		ge.eval.ImplBits[i] = comp.Results[i].PassBits
 	}
-	suite, co, err := core.AssembleDifferential(comp.Results, p.cfgs, core.Options{
-		StepLimit:   p.opts.StepLimit,
-		Parallelism: p.opts.Parallelism,
-	})
-	if err != nil {
-		ge.eval.FrontendReject = true
-		return ge
-	}
 	if suite == nil {
 		ge.co = co
 		return ge
 	}
 	ge.eval.Classes = 1
-	for _, in := range p.opts.runtimeInputs() {
+	for _, in := range p.inputs {
 		o := suite.Run(in)
 		if o == nil {
 			continue
@@ -496,27 +394,10 @@ func (p *EvolvePool) passCoverage() int {
 	return n
 }
 
-// saveEvolveCheckpoint snapshots the pool at a generation barrier.
-// Failures never stop the campaign.
-func (p *EvolvePool) saveEvolveCheckpoint() {
-	p.sinceCkpt = 0
-	if err := p.saver.Save(p.exportEvolveState()); err != nil {
-		if !p.ckptLogged {
-			log.Printf("difffuzz: checkpoint save failed (campaign continues on the previous checkpoint): %v", err)
-			p.ckptLogged = true
-		}
-	}
-}
-
-// exportEvolveState builds the durable snapshot: the population,
+// exportState builds the durable snapshot: the population,
 // generation, cumulative coverage, counters, and pool buckets in full.
-func (p *EvolvePool) exportEvolveState() *checkpoint.State {
-	st := &checkpoint.State{
-		Version:     checkpoint.Version,
-		OptionsHash: p.optionsHash,
-		SpentExecs:  p.programs,
-	}
-	st.Buckets, st.BucketTotal = p.buckets.Export()
+func (p *EvolvePool) exportState() *checkpoint.State {
+	st := p.newState(p.programs)
 	es := &checkpoint.EvolveCampaignState{
 		Generation:      p.generation,
 		CumBits:         make([]uint32, len(p.cum)),
@@ -569,22 +450,13 @@ func (p *EvolvePool) restore(st *checkpoint.State) error {
 	return nil
 }
 
-// snapshotEvolve aggregates the campaign into a telemetry record.
-// Execs counts genome evaluations (each is one k-way compile).
-func (p *EvolvePool) snapshotEvolve() telemetry.Snapshot {
-	var s telemetry.Snapshot
-	s.Programs = p.programs
-	s.Execs = p.programs
-	s.UniqueBuckets = p.buckets.Len()
-	kinds := p.buckets.KindCounts()
-	s.CompileDivergences = kinds[triage.KindCompileDivergence]
-	s.ICEs = kinds[triage.KindICE]
-	s.DiagMismatches = kinds[triage.KindDiagMismatch]
-	s.Generation = p.generation
-	s.BestFitness = p.lastBest
-	s.MeanFitness = p.lastMean
-	s.PassCoverage = p.passCoverage()
-	return s
+// snapshot aggregates the campaign into a telemetry record. Execs
+// counts genome evaluations (each is one k-way compile).
+func (p *EvolvePool) snapshot() telemetry.Snapshot {
+	st := p.Stats()
+	return telemetry.Snapshot{Programs: st.Programs, Execs: st.Programs, UniqueBuckets: st.UniqueBuckets,
+		CompileDivergences: st.CompileDivergences, ICEs: st.ICEs, DiagMismatches: st.DiagMismatches,
+		Generation: st.Generation, BestFitness: st.BestFitness, MeanFitness: st.MeanFitness, PassCoverage: st.PassCoverage}
 }
 
 // Stats summarizes the campaign so far.
@@ -602,13 +474,9 @@ func (p *EvolvePool) Stats() EvolvePoolStats {
 		BestFitness:         p.lastBest,
 		MeanFitness:         p.lastMean,
 		PopulationSignature: evolve.Signature(p.pop),
-		ShardErrors:         append([]error(nil), p.shardErrs...),
+		ShardErrors:         p.shardErrors(),
 	}
-	kinds := p.buckets.KindCounts()
-	st.CompileDivergences = kinds[triage.KindCompileDivergence]
-	st.ICEs = kinds[triage.KindICE]
-	st.DiagMismatches = kinds[triage.KindDiagMismatch]
-	st.RuntimeBuckets = kinds[triage.KindRuntime]
+	st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets = p.kinds()
 	return st
 }
 
@@ -619,54 +487,7 @@ func (p *EvolvePool) PassCoverageBits() []compiler.PassBits {
 	return append([]compiler.PassBits(nil), p.cum...)
 }
 
-// CacheStats exposes the compiled-program cache counters (hits are
-// elite and revisited-offspring re-evaluations served without
-// recompiling). Process-local, like the compile pool's.
-func (p *EvolvePool) CacheStats() progcache.Stats { return p.cache.Stats() }
-
-// BucketStore exposes the pool-wide store (reports, tables).
-func (p *EvolvePool) BucketStore() *triage.BucketStore { return p.buckets }
-
-// BucketKeys is the sorted bucket-key set — the order-independent
-// fingerprint of the campaign's findings.
-func (p *EvolvePool) BucketKeys() []uint64 { return p.buckets.Keys() }
-
 // Population returns the current genomes (read-only view).
 func (p *EvolvePool) Population() []*evolve.Genome {
 	return append([]*evolve.Genome(nil), p.pop...)
-}
-
-// ImplNames returns the implementation names, suite order.
-func (p *EvolvePool) ImplNames() []string {
-	names := make([]string, len(p.cfgs))
-	for i, cfg := range p.cfgs {
-		names[i] = cfg.Name()
-	}
-	return names
-}
-
-// CheckpointSeq is the last durable checkpoint's sequence number (0
-// when none was written).
-func (p *EvolvePool) CheckpointSeq() int {
-	if p.saver == nil {
-		return 0
-	}
-	return p.saver.Seq()
-}
-
-// Snapshots returns the recorded progress series — one entry per
-// generation barrier, plus the final post-cancel snapshot when a run
-// was cancelled (empty when stats are disabled).
-func (p *EvolvePool) Snapshots() []telemetry.Snapshot {
-	if p.recorder == nil {
-		return nil
-	}
-	return p.recorder.Snapshots()
-}
-
-// Close releases observability resources (the stats recorder).
-func (p *EvolvePool) Close() {
-	if p.recorder != nil {
-		_ = p.recorder.Close()
-	}
 }

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"compdiff/internal/checkpoint"
-	"compdiff/internal/compiler"
 	"compdiff/internal/core"
 	"compdiff/internal/hash"
 	"compdiff/internal/triage"
@@ -32,20 +31,12 @@ import (
 // batch size, or a different stats directory.
 func CampaignHash(src string, seeds [][]byte, opts Options) uint64 {
 	d := hash.New128(0xca3b)
-	cfgs := opts.Configs
-	if len(cfgs) == 0 {
-		cfgs = compiler.DefaultSet()
-	}
-	for _, cfg := range cfgs {
+	for _, cfg := range configsOrDefault(opts.Configs) {
 		fmt.Fprintf(d, "cfg:%s\n", cfg.Name())
-	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
 	}
 	fmt.Fprintf(d, "seed:%d step:%d maxlen:%d san:%d skipdet:%t divfb:%t shards:%d sync:%d norm:%t\n",
 		opts.FuzzSeed, opts.StepLimit, opts.MaxInputLen, opts.Sanitizer,
-		opts.SkipDeterministic, opts.DivergenceFeedback, shards, opts.SyncEvery,
+		opts.SkipDeterministic, opts.DivergenceFeedback, max(opts.Shards, 1), opts.SyncEvery,
 		opts.Normalizer != nil)
 	fmt.Fprintf(d, "src:%d:%s", len(src), src)
 	for _, s := range seeds {
@@ -63,56 +54,25 @@ func CampaignHash(src string, seeds [][]byte, opts Options) uint64 {
 // campaign options differ from the checkpointed ones — a user error),
 // and checkpoint.ErrCorrupt (damaged files).
 func ResumePool(src string, seeds [][]byte, opts Options) (*Pool, error) {
-	if opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("difffuzz: resume requires CheckpointDir")
-	}
-	st, _, err := checkpoint.Load(opts.CheckpointDir)
-	if err != nil {
-		return nil, err
-	}
-	h := CampaignHash(src, seeds, opts)
-	if st.OptionsHash != h {
-		return nil, fmt.Errorf("%w: checkpoint options hash %016x, this campaign hashes to %016x (same source, seeds, and campaign options required)",
-			checkpoint.ErrMismatch, st.OptionsHash, h)
-	}
-	opts.resume = true
-	p, err := NewPool(src, seeds, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.restore(st); err != nil {
-		p.Close()
-		return nil, fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	return p, nil
+	return resumeFrom(opts.CheckpointDir, CampaignHash(src, seeds, opts), "source, seeds, and campaign options", func() (*Pool, error) {
+		opts.resume = true
+		return NewPool(src, seeds, opts)
+	})
 }
 
 // SpentExecs is the cumulative per-shard execution budget consumed
 // across all Run calls, including runs before a resume.
 func (p *Pool) SpentExecs() int64 { return p.spentTotal.Load() }
 
-// CheckpointSeq is the sequence number of the last durable checkpoint
-// (0 when checkpointing is off or nothing has been saved).
-func (p *Pool) CheckpointSeq() int {
-	if p.saver == nil {
-		return 0
-	}
-	return p.saver.Seq()
-}
-
 // exportState assembles the pool's complete snapshot. Called only at
 // barriers (and after Run), when no shard goroutine is running.
 func (p *Pool) exportState() *checkpoint.State {
-	st := &checkpoint.State{
-		Version:       checkpoint.Version,
-		OptionsHash:   p.optionsHash,
-		SpentExecs:    p.spentTotal.Load(),
-		PersistErrors: p.persistErrs.Load(),
-	}
+	st := p.newState(p.spentTotal.Load())
+	st.PersistErrors = p.persistErrs.Load()
 	for si, s := range p.shards {
 		ss := checkpoint.ShardState{
 			Index:         si,
-			Dead:          s.dead,
+			Dead:          p.dead[si],
 			Fuzzer:        s.c.fuzzer.ExportState(),
 			DiffExecs:     atomic.LoadInt64(&s.c.DiffExecs),
 			PersistErrors: atomic.LoadInt64(&s.c.persistErrs),
@@ -149,7 +109,6 @@ func (p *Pool) exportState() *checkpoint.State {
 	}
 	st.Diffs = p.store.Unique()
 	st.DiffTotal = p.store.Total()
-	st.Buckets, st.BucketTotal = p.buckets.Export()
 	return st
 }
 
@@ -176,7 +135,7 @@ func (p *Pool) restore(st *checkpoint.State) error {
 		if err := s.c.restoreShard(ss); err != nil {
 			return fmt.Errorf("difffuzz: shard %d: %w", i, err)
 		}
-		s.dead = ss.Dead
+		p.dead[i] = ss.Dead
 		// Barrier cursors always equal the store lengths at a barrier,
 		// which is when the snapshot was taken.
 		s.diffsSynced = len(ss.Diffs)
@@ -188,7 +147,6 @@ func (p *Pool) restore(st *checkpoint.State) error {
 	}
 	// The caches a concurrent Stats reader sees must reflect the
 	// restored shard state, not the discarded construction-time state.
-	p.statCrashes = nil
 	p.refreshStatCache()
 	return nil
 }

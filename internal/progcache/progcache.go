@@ -76,25 +76,7 @@ func Compile(src string, cfgs []compiler.Config, parallelism int) *Compiled {
 	if err != nil {
 		return &Compiled{FrontendErr: err, size: recordOverhead + int64(len(err.Error()))}
 	}
-	results := make([]compiler.Result, len(cfgs))
-	if parallelism > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, parallelism)
-		for i := range cfgs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				results[i] = compiler.CompileGuarded(info, cfgs[i])
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range cfgs {
-			results[i] = compiler.CompileGuarded(info, cfgs[i])
-		}
-	}
+	results := compiler.CompileAllGuarded(info, cfgs, parallelism)
 	c := &Compiled{Results: results, size: recordOverhead}
 	for i := range results {
 		c.size += resultBytes(&results[i])

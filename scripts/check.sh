@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 gate, shell form of `make check`: vet, build, race-enabled
-# tests, and a short native-fuzz smoke. Usage: scripts/check.sh
-# [fuzztime], e.g. `scripts/check.sh 30s`.
+# Tier-1 gate (`make check` runs it): vet, build, race-enabled tests,
+# self-tests, bench and native-fuzz smokes, coverage floors, and the
+# CLI smokes. Usage: scripts/check.sh [fuzztime], e.g.
+# `scripts/check.sh 30s`.
 set -eu
 
 cd "$(dirname "$0")/.."
