@@ -147,8 +147,8 @@ func overheadBench(b *testing.B, k int) {
 		// A single binary, as in plain (non-differential) fuzzing.
 		// Persistent-mode framing: the warm machine is reused and the
 		// machine-owned result is consumed in place, exactly as the
-		// campaign's batch executor drives it — Clone only happens on
-		// the divergence path, never per exec.
+		// campaign's fast path drives it — Clone only happens on the
+		// divergence path, never per exec.
 		info := sema.MustCheck(parser.MustParse(tg.Src))
 		bin := compiler.MustCompile(info, compiler.Config{Family: compiler.Clang, Opt: compiler.O2})
 		m := vm.New(bin, vm.Options{})
@@ -229,31 +229,6 @@ func suiteRunBench(b *testing.B, parallelism int, withMetrics bool) {
 	for i := 0; i < b.N; i++ {
 		suite.Run(input)
 	}
-}
-
-// BenchmarkSuiteRunBatch64 drives the persistent-mode batch executor
-// the way the campaign's BatchSize option does: 64 inputs per warm
-// machine-set borrow, outcomes recycled across flushes. ns/op is per
-// input, directly comparable with BenchmarkSuiteRunFast — the gap is
-// the per-exec scratch borrow/park the batch hoists.
-func BenchmarkSuiteRunBatch64(b *testing.B) {
-	tg := targets.ByName("readelf")
-	suite, err := compdiff.New(tg.Src, compdiff.DefaultImplementations(), compdiff.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	suite.Warm(1)
-	batch := make([][]byte, 0, 64)
-	var outs []*compdiff.Outcome
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch = append(batch, tg.Seeds[0])
-		if len(batch) == cap(batch) || i == b.N-1 {
-			outs = suite.RunBatch(batch, outs[:0])
-			batch = batch[:0]
-		}
-	}
-	_ = outs
 }
 
 // BenchmarkProgCacheHit is the compiled-program cache's hit path: one

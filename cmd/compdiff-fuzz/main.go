@@ -144,7 +144,6 @@ type cliConfig struct {
 	seed        int64
 	shards      int
 	jobs        int
-	batch       int
 	sync        int64
 	syncSet     bool // -sync was given explicitly
 	san         string
@@ -254,9 +253,6 @@ func (c cliConfig) validate() error {
 	if c.jobs < 1 {
 		return fmt.Errorf("-jobs %d: the cross-check needs at least one worker", c.jobs)
 	}
-	if c.batch < 0 {
-		return fmt.Errorf("-batch %d: the batch size cannot be negative (0 or 1 mean per-exec)", c.batch)
-	}
 	if c.sync < 0 {
 		return fmt.Errorf("-sync %d: the barrier interval cannot be negative", c.sync)
 	}
@@ -307,7 +303,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&cfg.seed, "seed", 1, "fuzzer RNG seed")
 	fs.IntVar(&cfg.shards, "shards", 1, "parallel fuzzer instances (AFL -M/-S style)")
 	fs.IntVar(&cfg.jobs, "jobs", 1, "worker goroutines per differential cross-check")
-	fs.IntVar(&cfg.batch, "batch", 1, "inputs cross-checked per warm machine-set borrow (1 = per-exec)")
 	fs.Int64Var(&cfg.sync, "sync", 0, "executions between shard sync barriers (0 = budget/8)")
 	fs.StringVar(&cfg.san, "san", "none", "sanitizer on the fuzz binary: none|asan|ubsan|msan")
 	fs.StringVar(&cfg.diffdir, "diffdir", "", "persist diverging inputs")
@@ -419,7 +414,6 @@ func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) e
 		Shards:          cfg.shards,
 		SyncEvery:       cfg.sync,
 		Parallelism:     cfg.jobs,
-		BatchSize:       cfg.batch,
 		StatsDir:        cfg.statsDir,
 		StatsEvery:      cfg.statsEvery,
 		CheckpointDir:   cfg.checkpoint,

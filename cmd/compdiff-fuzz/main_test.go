@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -229,6 +230,38 @@ func TestValidateFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("validate(%+v) = %q, want substring %q", cfg, err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestRealMainUsageExit drives the whole CLI entry point on misuse:
+// unknown flags, unparsable values, rejected values and an unknown
+// target all exit 2 before any campaign starts, with nothing on stdout
+// and a message naming the culprit on stderr.
+func TestRealMainUsageExit(t *testing.T) {
+	cases := []struct {
+		name   string
+		args   []string
+		stderr string // substring the error message must carry
+	}{
+		{"removed-batch-flag", []string{"-target", "tcpdump", "-batch", "64"}, "-batch"},
+		{"unparsable-execs", []string{"-target", "tcpdump", "-execs", "x"}, "-execs"},
+		{"zero-shards", []string{"-target", "tcpdump", "-shards", "0"}, "-shards 0"},
+		{"unknown-san", []string{"-target", "tcpdump", "-san", "bogus"}, "-san"},
+		{"unknown-target", []string{"-target", "no-such-target", "-execs", "10"}, "no-such-target"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := realMain(tc.args, &stdout, &stderr); code != 2 {
+				t.Fatalf("realMain(%q) = %d, want 2 (stderr: %s)", tc.args, code, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("realMain(%q) wrote to stdout: %q", tc.args, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Fatalf("realMain(%q) stderr = %q, want substring %q", tc.args, stderr.String(), tc.stderr)
 			}
 		})
 	}

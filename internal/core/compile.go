@@ -169,7 +169,7 @@ func AssembleDifferential(results []compiler.Result, cfgs []compiler.Config, opt
 // Parse and sema failures are uniform front-end rejects shared by
 // every implementation — an error, never a finding.
 func BuildSourceDifferential(src string, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
-	info, err := checkSource(src)
+	info, err := CheckSource(src)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -176,15 +176,15 @@ func assemble(results []compiler.Result, cfgs []compiler.Config, opts Options) *
 
 // BuildSource parses, checks, and builds in one step.
 func BuildSource(src string, cfgs []compiler.Config, opts Options) (*Suite, error) {
-	info, err := checkSource(src)
+	info, err := CheckSource(src)
 	if err != nil {
 		return nil, err
 	}
 	return Build(info, cfgs, opts)
 }
 
-// checkSource runs the front end: parse, then semantic checks.
-func checkSource(src string) (*sema.Info, error) {
+// CheckSource runs the front end: parse, then semantic checks.
+func CheckSource(src string) (*sema.Info, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("compdiff: parse: %w", err)
@@ -275,30 +275,6 @@ func (s *Suite) RunFast(input []byte) *Outcome {
 	return s.run(input, false)
 }
 
-// RunBatch is the persistent-mode batch executor: it borrows one warm
-// machine set, runs every input in order against it (dirty-page reset
-// between inputs happens inside each machine), and parks the set once
-// at the end — the borrow/park atomics and scratch lookups leave the
-// per-exec path entirely. Each input gets exactly the RunFast
-// treatment (same machines, same retry policy, same checksums), so a
-// batch of N is byte-identical to N sequential RunFast calls; the
-// differential self-test layer pins that equivalence. One outcome per
-// input is appended to dst (reusable across calls) and the extended
-// slice returned. Outcomes of diverged inputs are materialized;
-// callers that retain them must also stop reusing the input buffers,
-// as Outcome.Input aliases the caller's slice.
-func (s *Suite) RunBatch(inputs [][]byte, dst []*Outcome) []*Outcome {
-	if len(inputs) == 0 {
-		return dst
-	}
-	sc := s.borrow()
-	defer s.park(sc)
-	for _, input := range inputs {
-		dst = append(dst, s.runWith(sc, input, false))
-	}
-	return dst
-}
-
 // borrow checks out one complete machine set, preferring the parked
 // scratch (two atomics) over the per-implementation free lists.
 func (s *Suite) borrow() *runScratch {
@@ -325,15 +301,10 @@ func (s *Suite) park(sc *runScratch) {
 	}
 }
 
+// run is the differential execution core shared by Run and RunFast.
 func (s *Suite) run(input []byte, materialize bool) *Outcome {
 	sc := s.borrow()
 	defer s.park(sc)
-	return s.runWith(sc, input, materialize)
-}
-
-// runWith is the differential execution core, operating on an
-// already-borrowed machine set.
-func (s *Suite) runWith(sc *runScratch, input []byte, materialize bool) *Outcome {
 	out := &Outcome{Input: input}
 	k := len(s.Impls)
 	// shared holds machine-owned results (vm.RunShared): valid while

@@ -1,11 +1,11 @@
 package core_test
 
-// The differential self-test for the batch executor: RunBatch must be
-// byte-identical to driving the suite one input at a time, over the
-// golden corpus and a progen-generated sweep, sequentially and with
-// the parallel cross-check, at every batch size. The batch path is
-// only trusted because this layer holds it to the per-exec semantics
-// the oracle was validated against — the same medicine the vm's
+// The differential self-test for the fuzzing fast path: RunFast must
+// reach the same verdict, checksums and (on divergence) results as the
+// materializing Run, over the golden corpus and a progen-generated
+// sweep, sequentially and with the parallel cross-check. The fast path
+// is only trusted because this layer holds it to the semantics the
+// oracle was validated against — the same medicine the vm's
 // selftest_test.go applies to the fast loop. scripts/check.sh runs
 // this under -race so the warm machine-set reuse is also proven free
 // of data races.
@@ -20,12 +20,13 @@ import (
 	"compdiff/internal/compiler"
 	"compdiff/internal/core"
 	"compdiff/internal/progen"
+	"compdiff/internal/vm"
 )
 
-// batchSelfTestInputs mirrors the vm self-test crasher list: empty,
-// short, divergence triggers, and garbage, so batches mix clean runs,
+// selfTestInputs mirrors the vm self-test crasher list: empty, short,
+// divergence triggers, and garbage, so the sequence mixes clean runs,
 // faults, and diverging outcomes.
-func batchSelfTestInputs() [][]byte {
+func selfTestInputs() [][]byte {
 	return [][]byte{
 		nil,
 		{},
@@ -40,12 +41,12 @@ func batchSelfTestInputs() [][]byte {
 	}
 }
 
-// batchSelfTestSources is the golden corpus (runtime programs only)
+// selfTestSources is the golden corpus (runtime programs only)
 // plus a generated sweep: three progen programs, which are
 // well-defined by construction and exercise compiler-config-dependent
 // lowering without divergence, keeping the non-diverged comparison
 // path honest too.
-func batchSelfTestSources(t *testing.T) map[string]string {
+func selfTestSources(t *testing.T) map[string]string {
 	t.Helper()
 	srcs := map[string]string{}
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.mc"))
@@ -73,142 +74,121 @@ func progenName(seed int64) string {
 }
 
 // assertSameOutcome compares every observable Outcome field. want
-// comes from the materializing per-input path, got from RunBatch —
-// which materializes only on divergence, so full Result comparison
+// comes from the materializing Run, got from RunFast — which
+// materializes only on divergence, so full Result comparison
 // applies exactly there.
 func assertSameOutcome(t *testing.T, input []byte, want, got *core.Outcome) {
 	t.Helper()
 	if want.Diverged != got.Diverged {
-		t.Fatalf("input %q: diverged per-input=%t batch=%t", input, want.Diverged, got.Diverged)
+		t.Fatalf("input %q: diverged Run=%t RunFast=%t", input, want.Diverged, got.Diverged)
 	}
 	if want.TimeoutSuspect != got.TimeoutSuspect {
-		t.Fatalf("input %q: timeout-suspect per-input=%t batch=%t", input, want.TimeoutSuspect, got.TimeoutSuspect)
+		t.Fatalf("input %q: timeout-suspect Run=%t RunFast=%t", input, want.TimeoutSuspect, got.TimeoutSuspect)
 	}
 	if len(want.Hashes) != len(got.Hashes) {
-		t.Fatalf("input %q: %d hashes per-input, %d batch", input, len(want.Hashes), len(got.Hashes))
+		t.Fatalf("input %q: %d hashes from Run, %d from RunFast", input, len(want.Hashes), len(got.Hashes))
 	}
 	for i := range want.Hashes {
 		if want.Hashes[i] != got.Hashes[i] {
-			t.Fatalf("input %q: hash[%d] per-input=%016x batch=%016x", input, i, want.Hashes[i], got.Hashes[i])
+			t.Fatalf("input %q: hash[%d] Run=%016x RunFast=%016x", input, i, want.Hashes[i], got.Hashes[i])
 		}
 	}
 	if !got.Diverged {
 		// Signature needs materialized Results, which the fast path
-		// (and so RunBatch) produces only on divergence; for agreeing
-		// outcomes the hash comparison above is the whole story.
+		// produces only on divergence; for agreeing outcomes the hash
+		// comparison above is the whole story.
 		return
 	}
 	if ws, gs := want.Signature(), got.Signature(); ws != gs {
-		t.Fatalf("input %q: signature per-input=%016x batch=%016x", input, ws, gs)
+		t.Fatalf("input %q: signature Run=%016x RunFast=%016x", input, ws, gs)
 	}
-	if len(want.Results) != len(got.Results) {
-		t.Fatalf("input %q: %d results per-input, %d batch", input, len(want.Results), len(got.Results))
+	assertSameResults(t, input, want.Results, got.Results)
+}
+
+// assertSameResults compares materialized per-implementation results
+// field by field.
+func assertSameResults(t *testing.T, input []byte, want, got []*vm.Result) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("input %q: %d results from Run, %d from RunFast", input, len(want), len(got))
 	}
-	for i := range want.Results {
-		w, g := want.Results[i], got.Results[i]
+	for i := range want {
+		w, g := want[i], got[i]
 		if w.Exit != g.Exit || w.Code != g.Code || w.Steps != g.Steps {
-			t.Fatalf("input %q: result[%d] exit per-input=%s/%d/%d batch=%s/%d/%d",
+			t.Fatalf("input %q: result[%d] exit Run=%s/%d/%d RunFast=%s/%d/%d",
 				input, i, w.Exit, w.Code, w.Steps, g.Exit, g.Code, g.Steps)
 		}
 		if !bytes.Equal(w.Stdout, g.Stdout) || !bytes.Equal(w.Stderr, g.Stderr) {
-			t.Fatalf("input %q: result[%d] output per-input=%q/%q batch=%q/%q",
+			t.Fatalf("input %q: result[%d] output Run=%q/%q RunFast=%q/%q",
 				input, i, w.Stdout, w.Stderr, g.Stdout, g.Stderr)
 		}
 	}
 }
 
-// runBatchSelfTest drives two equivalent suites over the same input
-// sequence — one per-input, one through RunBatch at the given size —
-// so run-sequence-dependent state (warm machines, dirty-page resets)
+// runFastSelfTest drives two equivalent suites over the same input
+// sequence — one through Run, one through RunFast — so
+// run-sequence-dependent state (warm machines, dirty-page resets)
 // stays aligned, exactly like the vm self-test's two machines.
-func runBatchSelfTest(t *testing.T, parallelism, batchSize int) {
-	for name, src := range batchSelfTestSources(t) {
+//
+// The fast suite takes the inputs in chunks of chunk consecutive
+// RunFast calls; after each full chunk it also runs the chunk's last
+// input through a materializing Run on the same suite, which borrows
+// the same parked machine set. That Run must match too, and its
+// Results must be unchanged once every later RunFast has reused the
+// machines' output buffers — materialized outcomes own their bytes.
+func runFastSelfTest(t *testing.T, parallelism, chunk int) {
+	for name, src := range selfTestSources(t) {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			opts := core.Options{Parallelism: parallelism}
-			perInput, err := core.BuildSource(src, compiler.DefaultSet(), opts)
+			slow, err := core.BuildSource(src, compiler.DefaultSet(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := core.BuildSource(src, compiler.DefaultSet(), opts)
+			fast, err := core.BuildSource(src, compiler.DefaultSet(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inputs := batchSelfTestInputs()
-			want := make([]*core.Outcome, 0, len(inputs))
-			for _, in := range inputs {
-				want = append(want, perInput.Run(in))
+			type kept struct {
+				input []byte
+				want  []*vm.Result // copied when the Run returned
+				got   *core.Outcome
 			}
-			var got []*core.Outcome
-			for start := 0; start < len(inputs); start += batchSize {
-				end := start + batchSize
-				if end > len(inputs) {
-					end = len(inputs)
+			var mixed []kept
+			for i, in := range selfTestInputs() {
+				want := slow.Run(in)
+				assertSameOutcome(t, in, want, fast.RunFast(in))
+				if (i+1)%chunk == 0 {
+					got := fast.Run(in)
+					assertSameOutcome(t, in, want, got)
+					snap := make([]*vm.Result, len(got.Results))
+					for j, r := range got.Results {
+						snap[j] = r.Clone()
+					}
+					mixed = append(mixed, kept{in, snap, got})
 				}
-				got = batched.RunBatch(inputs[start:end], got)
 			}
-			if len(got) != len(inputs) {
-				t.Fatalf("RunBatch returned %d outcomes for %d inputs", len(got), len(inputs))
-			}
-			for i, in := range inputs {
-				assertSameOutcome(t, in, want[i], got[i])
+			for _, k := range mixed {
+				assertSameResults(t, k.input, k.want, k.got.Results)
 			}
 		})
 	}
 }
 
-// TestRunBatchMatchesRun is the sequential equivalence proof at a
-// batch size that splits the input list mid-batch (7 over 10 inputs)
-// and at one larger than the list (64), covering partial final
-// batches and the single-borrow whole-corpus case.
+// TestRunBatchMatchesRun is the sequential equivalence proof. The
+// subtest names keep the former batch executor's sizes: chunk 7
+// splits the 10-input list with one interleaved Run; chunk 64 is
+// longer than the list, so the whole sequence is RunFast alone.
 func TestRunBatchMatchesRun(t *testing.T) {
-	t.Run("batch7", func(t *testing.T) { runBatchSelfTest(t, 1, 7) })
-	t.Run("batch64", func(t *testing.T) { runBatchSelfTest(t, 1, 64) })
+	t.Run("batch7", func(t *testing.T) { runFastSelfTest(t, 1, 7) })
+	t.Run("batch64", func(t *testing.T) { runFastSelfTest(t, 1, 64) })
 }
 
 // TestRunBatchMatchesRunParallel repeats the proof with the k-way
-// parallel cross-check (Parallelism=4): the batch borrow must compose
-// with the worker fan-out without reordering or racing — check.sh
-// runs this under -race.
+// parallel cross-check (Parallelism=4): the warm machine-set borrow
+// must compose with the worker fan-out without reordering or racing —
+// check.sh runs this under -race.
 func TestRunBatchMatchesRunParallel(t *testing.T) {
-	t.Run("batch7", func(t *testing.T) { runBatchSelfTest(t, 4, 7) })
-	t.Run("batch64", func(t *testing.T) { runBatchSelfTest(t, 4, 64) })
-}
-
-// TestRunBatchSingletonIsRunFast pins the degenerate case: a
-// one-element batch takes exactly the RunFast path (same scratch,
-// same non-materializing semantics), so BatchSize=1 campaigns are
-// byte-identical to unbatched ones by construction.
-func TestRunBatchSingletonIsRunFast(t *testing.T) {
-	src := batchSelfTestSources(t)["fmt"]
-	if src == "" {
-		// Corpus naming drift: fall back to any runtime program.
-		for _, s := range batchSelfTestSources(t) {
-			src = s
-			break
-		}
-	}
-	a, err := core.BuildSource(src, compiler.DefaultSet(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := core.BuildSource(src, compiler.DefaultSet(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range batchSelfTestInputs() {
-		want := a.RunFast(in)
-		got := b.RunBatch([][]byte{in}, nil)[0]
-		if want.Diverged != got.Diverged {
-			t.Fatalf("input %q: RunFast vs 1-batch divergence mismatch", in)
-		}
-		if want.Diverged && want.Signature() != got.Signature() {
-			t.Fatalf("input %q: RunFast vs 1-batch signature mismatch", in)
-		}
-		for i := range want.Hashes {
-			if want.Hashes[i] != got.Hashes[i] {
-				t.Fatalf("input %q: hash[%d] mismatch", in, i)
-			}
-		}
-	}
+	t.Run("batch7", func(t *testing.T) { runFastSelfTest(t, 4, 7) })
+	t.Run("batch64", func(t *testing.T) { runFastSelfTest(t, 4, 64) })
 }

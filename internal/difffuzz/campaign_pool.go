@@ -127,7 +127,7 @@ type PoolStats struct {
 // seeds. Bug-triggering inputs persist (when opts.DiffDir is set)
 // only through the shared store, so shards never contend on files.
 func NewPool(src string, seeds [][]byte, opts Options) (*Pool, error) {
-	info, err := checkSource(src)
+	info, err := core.CheckSource(src)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ import (
 	"compdiff/internal/compiler"
 	"compdiff/internal/core"
 	"compdiff/internal/fuzz"
-	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/triage"
@@ -60,18 +59,6 @@ type Options struct {
 	// worker goroutines (core.Options.Parallelism). <= 1 keeps the
 	// sequential path.
 	Parallelism int
-
-	// BatchSize buffers this many generated inputs and cross-checks
-	// them in one core.Suite.RunBatch call — one warm machine-set
-	// borrow per batch instead of per exec. Values <= 1 keep the
-	// per-exec path. Batching is throughput-only: the differential
-	// verdicts are byte-identical at any batch size (the self-test
-	// layer pins this), so BatchSize is excluded from CampaignHash and
-	// a checkpoint may be resumed under a different batch size.
-	// Ignored (clamped to 1) when DivergenceFeedback is on: feedback
-	// must see each verdict before the next input is generated, which
-	// is inherently per-exec.
-	BatchSize int
 
 	// Shards is the number of parallel fuzzer instances NewPool runs,
 	// mirroring AFL++'s -M/-S multi-instance setup: shard 0 is the
@@ -169,41 +156,15 @@ type Campaign struct {
 	// barriers instead.
 	statsRecorder
 	statsEvery int64
-
-	// Batch executor state (Options.BatchSize > 1). Generated inputs
-	// are copied into batchBuf (the fuzzer reuses its mutation buffer,
-	// so deferral requires ownership) and cross-checked batchSize at a
-	// time through Suite.RunBatch. batchOffs holds len(batch)+1 prefix
-	// offsets into batchBuf; batchCls the per-input B_fuzz class when
-	// stats are on. batchIn/batchOuts are flush-time scratch.
-	batchSize int
-	batchBuf  []byte
-	batchOffs []int
-	batchCls  []telemetry.Class
-	batchIn   [][]byte
-	batchOuts []*core.Outcome
 }
 
 // New builds a campaign for the MiniC source with initial seeds.
 func New(src string, seeds [][]byte, opts Options) (*Campaign, error) {
-	info, err := checkSource(src)
+	info, err := core.CheckSource(src)
 	if err != nil {
 		return nil, err
 	}
 	return NewChecked(info, seeds, opts)
-}
-
-// checkSource runs the front end: parse, then semantic checks.
-func checkSource(src string) (*sema.Info, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("difffuzz: parse: %w", err)
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, fmt.Errorf("difffuzz: check: %w", err)
-	}
-	return info, nil
 }
 
 // NewChecked builds a campaign from an already-checked program.
@@ -259,12 +220,6 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 		return nil, err
 	}
 
-	batch := opts.BatchSize
-	if batch < 1 || opts.DivergenceFeedback {
-		// Feedback consumes each verdict before the next mutation;
-		// deferring verdicts would starve it, so clamp to per-exec.
-		batch = 1
-	}
 	c := &Campaign{
 		suite:         suite,
 		diffs:         core.NewDiffStore(opts.DiffDir),
@@ -272,10 +227,6 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 		metrics:       metrics,
 		statsRecorder: statsRecorder{recorder},
 		statsEvery:    opts.StatsEvery,
-		batchSize:     batch,
-	}
-	if batch > 1 {
-		c.batchOffs = make([]int, 1, batch+1)
 	}
 	c.fuzzer = fuzz.New(machine, seeds, fuzz.Options{
 		Seed:              opts.FuzzSeed,
@@ -284,120 +235,52 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 		// Algorithm 1, lines 9-12: run every generated input through
 		// the CompDiff binaries and save it on output discrepancy.
 		OnExec: func(input []byte, res *vm.Result) {
-			// Batch path: defer the cross-check until batchSize inputs
-			// have accumulated. Initial-corpus ingestion (c.fuzzer nil)
-			// always takes the per-exec path so seed verdicts are
-			// available the moment New returns, batched or not.
-			if c.batchSize > 1 && c.fuzzer != nil {
-				c.enqueue(input, res)
-				return
-			}
 			// Fast path: outputs are checksummed in machine-owned
 			// buffers; o.Results is materialized only on divergence,
 			// which is exactly when diffs.Add needs the bytes.
 			o := c.suite.RunFast(input)
-			var cls telemetry.Class
-			if c.metrics != nil {
-				cls = core.ClassifyResult(res)
+			atomic.AddInt64(&c.DiffExecs, int64(len(c.suite.Impls)))
+			if o.Diverged {
+				fresh, err := c.diffs.Add(o)
+				if err != nil {
+					// Persistence failure must not kill the campaign —
+					// the in-memory record is kept regardless — but it
+					// must not vanish either: the on-disk evidence is now
+					// incomplete, so count it and log the first one.
+					if atomic.AddInt64(&c.persistErrs, 1) == 1 {
+						log.Printf("difffuzz: diff persistence failed (campaign continues, on-disk evidence incomplete): %v", err)
+					}
+				}
+				c.buckets.Add(o)
+				// c.fuzzer is nil while the initial corpus is being
+				// ingested inside fuzz.New; those seeds are already
+				// queued.
+				if fresh && opts.DivergenceFeedback && c.fuzzer != nil {
+					c.fuzzer.ForceSeed(input)
+				}
 			}
-			c.observe(input, o, cls, opts.DivergenceFeedback)
+			if m := c.metrics; m != nil {
+				execs := m.Execs.Inc()
+				m.DiffExecs.Add(int64(len(c.suite.Impls)))
+				// Each generated input lands in exactly one class:
+				// divergence dominates, otherwise the input is classed
+				// by its B_fuzz result. The per-class counts therefore
+				// always sum to Execs.
+				cls := core.ClassifyResult(res)
+				if o.Diverged {
+					cls = telemetry.ClassDiff
+				}
+				m.Classes.Inc(cls)
+				// Periodic snapshot, AFL plot_data style. Skipped while
+				// fuzz.New ingests the initial corpus (c.fuzzer nil).
+				if c.recorder != nil && c.statsEvery > 0 &&
+					execs%c.statsEvery == 0 && c.fuzzer != nil {
+					c.recorder.Record(c.snapshot())
+				}
+			}
 		},
 	})
 	return c, nil
-}
-
-// enqueue copies one generated input into the pending batch and
-// flushes when it reaches batchSize. The copy is required: the fuzzer
-// owns input and reuses the buffer for its next mutation.
-func (c *Campaign) enqueue(input []byte, res *vm.Result) {
-	c.batchBuf = append(c.batchBuf, input...)
-	c.batchOffs = append(c.batchOffs, len(c.batchBuf))
-	if c.metrics != nil {
-		// Classify against the live B_fuzz result now; it is
-		// machine-owned and invalid by flush time.
-		c.batchCls = append(c.batchCls, core.ClassifyResult(res))
-	}
-	if len(c.batchOffs)-1 >= c.batchSize {
-		c.flushBatch()
-	}
-}
-
-// flushBatch cross-checks every pending input in one RunBatch call
-// and feeds the outcomes through the same observation path the
-// per-exec mode uses, in the same order the fuzzer generated them.
-func (c *Campaign) flushBatch() {
-	nb := len(c.batchOffs) - 1
-	if nb <= 0 {
-		return
-	}
-	c.batchIn = c.batchIn[:0]
-	for i := 0; i < nb; i++ {
-		c.batchIn = append(c.batchIn, c.batchBuf[c.batchOffs[i]:c.batchOffs[i+1]])
-	}
-	c.batchOuts = c.suite.RunBatch(c.batchIn, c.batchOuts[:0])
-	for i, o := range c.batchOuts {
-		if o.Diverged {
-			// Diverged outcomes are retained by the diff store, but
-			// o.Input aliases batchBuf, which the next batch reuses:
-			// give the outcome its own copy.
-			o.Input = append([]byte(nil), o.Input...)
-		}
-		var cls telemetry.Class
-		if c.metrics != nil {
-			cls = c.batchCls[i]
-		}
-		// Feedback is always off here: NewChecked clamps batchSize to 1
-		// when DivergenceFeedback is requested.
-		c.observe(o.Input, o, cls, false)
-		c.batchOuts[i] = nil
-	}
-	c.batchBuf = c.batchBuf[:0]
-	c.batchOffs = c.batchOffs[:1]
-	c.batchCls = c.batchCls[:0]
-}
-
-// observe records one cross-checked input: divergence bookkeeping,
-// optional fuzzer feedback, and telemetry. Shared verbatim by the
-// per-exec and batch paths so their observable state is identical.
-func (c *Campaign) observe(input []byte, o *core.Outcome, cls telemetry.Class, feedback bool) {
-	atomic.AddInt64(&c.DiffExecs, int64(len(c.suite.Impls)))
-	if o.Diverged {
-		fresh, err := c.diffs.Add(o)
-		if err != nil {
-			// Persistence failure must not kill the campaign —
-			// the in-memory record is kept regardless — but it
-			// must not vanish either: the on-disk evidence is now
-			// incomplete, so count it and log the first one.
-			if atomic.AddInt64(&c.persistErrs, 1) == 1 {
-				log.Printf("difffuzz: diff persistence failed (campaign continues, on-disk evidence incomplete): %v", err)
-			}
-		}
-		c.buckets.Add(o)
-		// c.fuzzer is nil while the initial corpus is being
-		// ingested inside fuzz.New; those seeds are already
-		// queued.
-		if fresh && feedback && c.fuzzer != nil {
-			c.fuzzer.ForceSeed(input)
-		}
-	}
-	if m := c.metrics; m != nil {
-		execs := m.Execs.Inc()
-		m.DiffExecs.Add(int64(len(c.suite.Impls)))
-		// Each generated input lands in exactly one class:
-		// divergence dominates, otherwise the input is classed
-		// by its B_fuzz result. The per-class counts therefore
-		// always sum to Execs.
-		if o.Diverged {
-			cls = telemetry.ClassDiff
-		}
-		m.Classes.Inc(cls)
-		// Periodic snapshot, AFL plot_data style. Skipped while
-		// fuzz.New ingests the initial corpus (c.fuzzer nil).
-		if c.recorder != nil && c.statsEvery > 0 &&
-			execs%c.statsEvery == 0 && c.fuzzer != nil {
-			c.recorder.Record(c.snapshot())
-		}
-	}
 }
 
 // O1ForSan picks the conventional optimization level for a sanitizer
@@ -413,11 +296,6 @@ func O1ForSan(san vm.SanMode) compiler.OptLevel {
 // enabled, a final snapshot is recorded when the budget is spent.
 func (c *Campaign) Run(budget int64) fuzz.Stats {
 	st := c.fuzzer.Run(budget)
-	// Drain any partial batch so the campaign's observable state
-	// (diffs, buckets, counters) is complete at every Run boundary —
-	// this is what makes pool barriers, checkpoints, and end-of-budget
-	// reporting batch-size-invariant.
-	c.flushBatch()
 	if c.recorder != nil {
 		c.recorder.Record(c.snapshot())
 	}

@@ -23,12 +23,10 @@ import (
 // behavior: the source, the seed corpus, and the determinism-relevant
 // options. Resuming demands an exact match — a checkpoint replayed
 // under different settings would silently diverge from both the
-// original and a fresh run. Deliberately excluded: Parallelism and
-// BatchSize (scheduling/throughput only — the differential verdicts
-// are byte-identical at any batch size, see the self-test layer),
-// DiffDir and the Stats/Checkpoint knobs (observability only) — a
-// campaign may legitimately resume with more workers, a different
-// batch size, or a different stats directory.
+// original and a fresh run. Deliberately excluded: Parallelism
+// (scheduling only), DiffDir and the Stats/Checkpoint knobs
+// (observability only) — a campaign may legitimately resume with more
+// workers or a different stats directory.
 func CampaignHash(src string, seeds [][]byte, opts Options) uint64 {
 	d := hash.New128(0xca3b)
 	for _, cfg := range configsOrDefault(opts.Configs) {

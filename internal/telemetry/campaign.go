@@ -121,29 +121,13 @@ type CampaignMetrics struct {
 	Classes ClassCounters
 	// Suite holds the per-implementation run telemetry.
 	Suite *SuiteMetrics
-
-	reg *Registry
 }
 
 // NewCampaignMetrics creates campaign metrics over the named CompDiff
-// implementations and registers everything in a private registry.
+// implementations.
 func NewCampaignMetrics(implNames []string) *CampaignMetrics {
-	m := &CampaignMetrics{Suite: NewSuiteMetrics(implNames)}
-	reg := NewRegistry()
-	reg.Register("campaign.execs", &m.Execs)
-	reg.Register("campaign.diff_execs", &m.DiffExecs)
-	reg.Register("campaign.outcomes", &m.Classes)
-	for i, name := range implNames {
-		im := &m.Suite.impls[i]
-		reg.Register("impl."+name+".outcomes", &im.outcomes)
-		reg.Register("impl."+name+".latency_ns", &im.latency)
-	}
-	m.reg = reg
-	return m
+	return &CampaignMetrics{Suite: NewSuiteMetrics(implNames)}
 }
-
-// Registry exposes the campaign's metrics as an expvar-style registry.
-func (m *CampaignMetrics) Registry() *Registry { return m.reg }
 
 // Snapshot is one AFL-plot-style progress record. A campaign appends
 // these to an in-memory series and, when a stats directory is

@@ -1,15 +1,14 @@
 // Package telemetry is the campaign metrics layer: stdlib-only atomic
-// counters, gauges, and lock-striped latency histograms, plus the
-// AFL-style snapshot machinery (plot.jsonl) the fuzzing campaigns
-// emit. The paper's evaluation (§4) reasons about CompDiff almost
+// counters and lock-striped latency histograms, plus the AFL-style
+// snapshot machinery (plot.jsonl) the fuzzing campaigns emit. The paper's evaluation (§4) reasons about CompDiff almost
 // entirely through this kind of data — execs/sec overhead factors,
 // timeout classification, diffs-per-budget — so every engine in this
 // repo threads a set of these metrics through its hot path.
 //
 // Everything here is safe for concurrent use and cheap enough for
-// per-execution updates: counters and gauges are single atomics, and
-// histogram observations take one striped mutex chosen by value hash,
-// so parallel workers rarely contend.
+// per-execution updates: counters are single atomics, and histogram
+// observations take one striped mutex chosen by value hash, so
+// parallel workers rarely contend.
 package telemetry
 
 import (
@@ -34,21 +33,6 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // Store overwrites the counter — only for restoring a checkpointed
 // value before concurrent use resumes.
 func (c *Counter) Store(n int64) { c.v.Store(n) }
-
-// Value implements Var.
-func (c *Counter) Value() any { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the current value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Value implements Var.
-func (g *Gauge) Value() any { return g.v.Load() }
 
 // Class is the outcome classification of one execution: the triage
 // buckets a differential campaign needs to separate (crash vs. hang
@@ -133,15 +117,6 @@ func (cc *ClassCounters) Total() int64 {
 		t += cc.c[i].Load()
 	}
 	return t
-}
-
-// Value implements Var: a name → count map.
-func (cc *ClassCounters) Value() any {
-	out := make(map[string]int64, NumClasses)
-	for i := range cc.c {
-		out[Class(i).String()] = cc.c[i].Load()
-	}
-	return out
 }
 
 // Histogram bucket layout: bucket i holds durations whose nanosecond
@@ -312,19 +287,4 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 		}
 	}
 	return time.Duration(s.Max)
-}
-
-// Value implements Var: a compact summary map.
-func (h *Histogram) Value() any {
-	s := h.Snapshot()
-	return map[string]int64{
-		"count":   s.Count,
-		"sum_ns":  s.Sum,
-		"min_ns":  s.Min,
-		"max_ns":  s.Max,
-		"mean_ns": int64(s.Mean()),
-		"p50_ns":  int64(s.Quantile(0.50)),
-		"p90_ns":  int64(s.Quantile(0.90)),
-		"p99_ns":  int64(s.Quantile(0.99)),
-	}
 }

@@ -2,17 +2,15 @@ package telemetry
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
 	if got := c.Inc(); got != 1 {
 		t.Fatalf("Inc = %d, want 1", got)
@@ -22,11 +20,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if c.Load() != 42 {
 		t.Fatalf("Load = %d", c.Load())
-	}
-	var g Gauge
-	g.Set(-7)
-	if g.Load() != -7 {
-		t.Fatalf("gauge = %d", g.Load())
 	}
 }
 
@@ -153,32 +146,6 @@ func TestHistogramSnapshotMerge(t *testing.T) {
 	}
 }
 
-func TestRegistryWriteJSON(t *testing.T) {
-	reg := NewRegistry()
-	var c Counter
-	c.Add(3)
-	reg.Register("b.second", &c)
-	reg.Register("a.first", Func(func() any { return "v" }))
-	reg.Register("b.second", &c) // re-register keeps position, no dup
-
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var obj map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-		t.Fatalf("invalid JSON %q: %v", buf.String(), err)
-	}
-	if obj["b.second"].(float64) != 3 || obj["a.first"].(string) != "v" {
-		t.Fatalf("obj = %v", obj)
-	}
-	// Registration order, not lexical order.
-	out := buf.String()
-	if strings.Index(out, "b.second") > strings.Index(out, "a.first") {
-		t.Fatalf("registration order not preserved: %s", out)
-	}
-}
-
 func TestSuiteMetricsSummaries(t *testing.T) {
 	m := NewSuiteMetrics([]string{"gcc -O0", "clang -O2"})
 	m.ObserveRun(0, ClassOK, time.Microsecond)
@@ -202,31 +169,6 @@ func TestSuiteMetricsSummaries(t *testing.T) {
 	merged = MergeImplSummaries(merged, sums)
 	if merged[0].Runs() != 4 || merged[1].Latency.Count != 2 {
 		t.Fatalf("merged = %+v", merged)
-	}
-}
-
-func TestCampaignMetricsRegistry(t *testing.T) {
-	m := NewCampaignMetrics([]string{"gcc -O0"})
-	m.Execs.Add(10)
-	m.DiffExecs.Add(20)
-	m.Classes.Inc(ClassDiff)
-	m.Suite.ObserveRun(0, ClassOK, time.Microsecond)
-
-	var buf bytes.Buffer
-	if err := m.Registry().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var obj map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	for _, key := range []string{
-		"campaign.execs", "campaign.diff_execs", "campaign.outcomes",
-		"impl.gcc -O0.outcomes", "impl.gcc -O0.latency_ns",
-	} {
-		if _, ok := obj[key]; !ok {
-			t.Errorf("registry missing %q (have %v)", key, buf.String())
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"compdiff/internal/core"
 	"compdiff/internal/minic/ast"
 	"compdiff/internal/minic/parser"
-	"compdiff/internal/minic/sema"
 )
 
 // ReduceOptions configures a reduction.
@@ -180,11 +179,7 @@ func (r *reducer) exhausted() bool { return r.runs >= r.budget }
 // build compiles src under every configuration. Parse or sema
 // failures are returned, not counted against the budget.
 func (r *reducer) build(src string) (*core.Suite, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := sema.Check(prog)
+	info, err := core.CheckSource(src)
 	if err != nil {
 		return nil, err
 	}
@@ -196,11 +191,7 @@ func (r *reducer) build(src string) (*core.Suite, error) {
 // compile-stage oracle. Parse or sema failures are returned, not
 // counted against the budget.
 func (r *reducer) buildDifferential(src string) (*core.Suite, *core.CompileOutcome, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	info, err := sema.Check(prog)
+	info, err := core.CheckSource(src)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -26,12 +26,13 @@ echo "== vm differential self-test (-race)"
 go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting' \
 	-count=1 ./internal/vm
 
-# The batch-executor self-test is the same guard one layer up:
-# Suite.RunBatch must be byte-identical to per-input Run over the
-# golden corpus and the generated sweep, sequentially and with the
-# parallel cross-check, under the race detector.
-echo "== core batch-executor self-test (-race)"
-go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast' \
+# The fast-path self-test is the same guard one layer up:
+# Suite.RunFast must reach the same verdicts and checksums as the
+# materializing Run over the golden corpus and the generated sweep,
+# sequentially and with the parallel cross-check, under the race
+# detector.
+echo "== core fast-path self-test (-race)"
+go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel' \
 	-count=1 ./internal/core
 
 # Benchmark smoke: the headline hot-path benchmark must still run (10
@@ -39,14 +40,14 @@ go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRu
 echo "== bench smoke (BenchmarkOverheadFullTen, 10x)"
 go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
-# Batch/cache bench smoke: the persistent-mode batch executor and the
-# compiled-program cache benchmarks must exist and produce rows
+# Fast-path/cache bench smoke: the campaign's per-input cross-check
+# and the compiled-program cache benchmarks must exist and produce rows
 # bench.sh can parse into the trajectory record (guards both the
 # benchmarks and the bench.sh JSON pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit via bench.sh)"
+echo "== bench smoke (SuiteRunFast + ProgCacheHit via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunFast|ProgCacheHit' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunFast BenchmarkProgCacheHit; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
