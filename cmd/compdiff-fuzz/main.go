@@ -47,9 +47,6 @@
 //	                barriers between snapshots (default 1)
 //	-resume         continue the campaign checkpointed in -checkpoint DIR
 //	                (falls back to a fresh start when DIR has none)
-//	-heartbeat FILE atomically rewrite FILE with a status record at
-//	                every barrier (needs -checkpoint; the supervisor
-//	                uses it as the live progress watermark)
 //	-serve ADDR     supervise a worker farm and serve the HTTP control
 //	                plane on ADDR (GET /healthz /stats /plot /buckets
 //	                /findings /events, POST /pause /resume /reshard)
@@ -69,6 +66,8 @@
 // Under -serve the signal drains every worker the same way before the
 // supervisor exits; kill -9 of a worker loses at most one barrier
 // interval, which the restarted worker replays from its checkpoint.
+// The supervisor sizes that replay from the spent_execs field of the
+// worker's last plot.jsonl line, its live watermark.
 package main
 
 import (
@@ -94,7 +93,6 @@ import (
 	"compdiff/internal/progcache"
 	"compdiff/internal/supervisor"
 	"compdiff/internal/targets"
-	"compdiff/internal/telemetry"
 )
 
 // seedList collects -seedfile flags, keeping both the contents (for
@@ -153,7 +151,6 @@ type cliConfig struct {
 	checkpoint  string
 	ckptEvery   int64
 	resume      bool
-	heartbeat   string
 	serve       string
 	farm        string
 	workers     int
@@ -188,8 +185,7 @@ func (c cliConfig) validate() error {
 		// layout; explicit ones would make every worker fight over one
 		// file.
 		for flagName, v := range map[string]string{
-			"-checkpoint": c.checkpoint, "-stats": c.statsDir,
-			"-diffdir": c.diffdir, "-heartbeat": c.heartbeat,
+			"-checkpoint": c.checkpoint, "-stats": c.statsDir, "-diffdir": c.diffdir,
 		} {
 			if v != "" {
 				return fmt.Errorf("%s is per-worker under -serve; the farm layout derives it from -farm", flagName)
@@ -271,9 +267,6 @@ func (c cliConfig) validate() error {
 	if c.resume && c.checkpoint == "" {
 		return fmt.Errorf("-resume needs -checkpoint DIR to resume from")
 	}
-	if c.heartbeat != "" && c.checkpoint == "" {
-		return fmt.Errorf("-heartbeat needs -checkpoint: the heartbeat is the live watermark over the checkpointed one")
-	}
 	if _, ok := sanModes[c.san]; !ok {
 		return fmt.Errorf("-san %q: want none, asan, ubsan, or msan", c.san)
 	}
@@ -311,7 +304,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write crash-safe campaign snapshots under DIR")
 	fs.Int64Var(&cfg.ckptEvery, "checkpoint-every", 0, "sync barriers between snapshots (0 = every barrier)")
 	fs.BoolVar(&cfg.resume, "resume", false, "continue the campaign checkpointed in -checkpoint DIR")
-	fs.StringVar(&cfg.heartbeat, "heartbeat", "", "atomically rewrite FILE with a status record at every barrier")
 	fs.StringVar(&cfg.serve, "serve", "", "supervise a worker farm; serve the control plane on ADDR")
 	fs.StringVar(&cfg.farm, "farm", "", "farm root directory (with -serve)")
 	fs.IntVar(&cfg.workers, "workers", 2, "worker processes to supervise (with -serve)")
@@ -419,9 +411,6 @@ func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) e
 		CheckpointDir:   cfg.checkpoint,
 		CheckpointEvery: cfg.ckptEvery,
 	}
-	if cfg.heartbeat != "" {
-		opts.BarrierHook = heartbeatHook(cfg.heartbeat)
-	}
 
 	// Checkpointing runs through the pool even single-sharded: the
 	// pool's synchronization barriers are the snapshot points.
@@ -477,34 +466,6 @@ func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) e
 	printTelemetry(stdout, campaign.ImplSummaries(), campaign.Snapshots())
 	printReports(stdout, campaign)
 	return nil
-}
-
-// heartbeatHook adapts barrier stats into the atomic heartbeat file
-// the supervisor polls between checkpoints.
-func heartbeatHook(path string) func(compdiff.PoolStats) {
-	var seq int64
-	return func(st compdiff.PoolStats) {
-		seq++
-		queue := 0
-		retired := 0
-		for _, fs := range st.ShardStats {
-			queue += fs.Seeds
-		}
-		for _, err := range st.ShardErrors {
-			if err != nil {
-				retired++
-			}
-		}
-		// Best-effort by design: a failed heartbeat write must not take
-		// down the campaign the heartbeat merely observes.
-		_ = telemetry.WriteHeartbeat(path, telemetry.Heartbeat{
-			Pid: os.Getpid(), UnixMs: time.Now().UnixMilli(), Seq: seq,
-			SpentExecs: st.SpentExecs, Execs: st.Execs, DiffExecs: st.DiffExecs,
-			Queue: queue, UniqueDiffs: st.UniqueDiffs, TotalDiffInputs: st.TotalDiffInputs,
-			UniqueBuckets: st.UniqueBuckets, UniqueCrashes: st.UniqueCrashes,
-			PersistErrors: st.PersistErrors, Shards: st.Shards, RetiredShards: retired,
-		})
-	}
 }
 
 // printPoolStats renders the sharded-campaign summary and reports.
@@ -583,7 +544,6 @@ func runServe(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) error {
 			"-checkpoint", dirs.Checkpoint,
 			"-stats", dirs.Stats,
 			"-diffdir", dirs.Diff,
-			"-heartbeat", dirs.Heartbeat,
 			"-resume",
 		}
 		if cfg.syncSet {

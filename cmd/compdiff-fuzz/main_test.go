@@ -131,7 +131,7 @@ func TestValidateFlags(t *testing.T) {
 		{"resume-without-dir", func(c *cliConfig) { c.resume = true },
 			"-resume needs -checkpoint"},
 
-		// Cumulative budgets and heartbeats ride on the checkpoint.
+		// Cumulative budgets ride on the checkpoint.
 		{"execs-total", func(c *cliConfig) { c.checkpoint = "ckpt"; c.execsTotal = 100_000 }, ""},
 		{"execs-total-without-checkpoint", func(c *cliConfig) { c.execsTotal = 100_000 },
 			"-execs-total needs -checkpoint"},
@@ -143,9 +143,6 @@ func TestValidateFlags(t *testing.T) {
 			c.checkpoint = "ckpt"
 			c.execsTotal = 100
 		}, "bounded by the corpus"},
-		{"heartbeat", func(c *cliConfig) { c.checkpoint = "ckpt"; c.heartbeat = "hb.json" }, ""},
-		{"heartbeat-without-checkpoint", func(c *cliConfig) { c.heartbeat = "hb.json" },
-			"-heartbeat needs -checkpoint"},
 
 		// Farm mode: -serve drives workers; per-worker paths are derived.
 		{"serve", func(c *cliConfig) { c.serve = ":0"; c.farm = "farm"; c.workers = 2 }, ""},
@@ -184,12 +181,6 @@ func TestValidateFlags(t *testing.T) {
 			c.farm = "farm"
 			c.workers = 2
 			c.checkpoint = "ckpt"
-		}, "per-worker under -serve"},
-		{"serve-explicit-heartbeat", func(c *cliConfig) {
-			c.serve = ":0"
-			c.farm = "farm"
-			c.workers = 2
-			c.heartbeat = "hb.json"
 		}, "per-worker under -serve"},
 		{"serve-explicit-diffdir", func(c *cliConfig) {
 			c.serve = ":0"
@@ -246,6 +237,7 @@ func TestRealMainUsageExit(t *testing.T) {
 		stderr string // substring the error message must carry
 	}{
 		{"removed-batch-flag", []string{"-target", "tcpdump", "-batch", "64"}, "-batch"},
+		{"removed-heartbeat-flag", []string{"-target", "tcpdump", "-execs", "10", "-heartbeat", "hb.json"}, "-heartbeat"},
 		{"unparsable-execs", []string{"-target", "tcpdump", "-execs", "x"}, "-execs"},
 		{"zero-shards", []string{"-target", "tcpdump", "-shards", "0"}, "-shards 0"},
 		{"unknown-san", []string{"-target", "tcpdump", "-san", "bogus"}, "-san"},

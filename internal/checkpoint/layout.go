@@ -3,12 +3,12 @@ package checkpoint
 // Per-worker directory layout for a supervised fuzzing farm. The
 // supervisor (internal/supervisor) runs N worker processes under one
 // farm root; each worker owns a self-contained subtree holding its
-// crash-safe checkpoint, its telemetry (plot.jsonl + heartbeat), its
-// diff evidence, and its captured log:
+// crash-safe checkpoint, its telemetry (plot.jsonl), its diff
+// evidence, and its captured log:
 //
 //	<farm>/workers/worker-000/
 //	    checkpoint/   MANIFEST.json + state-*.ckpt (this package)
-//	    stats/        plot.jsonl, STATUS.json heartbeat
+//	    stats/        plot.jsonl (its last line is the live watermark)
 //	    diffs/        evidence files (core.DiffStore)
 //	    worker.log    combined stdout+stderr of the worker process
 //
@@ -16,8 +16,8 @@ package checkpoint
 // checkpoint protocol is the worker hand-off format: a worker killed
 // at any instant resumes from <dir>/checkpoint exactly like a
 // single-process campaign resumes, and the supervisor only ever
-// *reads* the subtree (manifest watermarks, heartbeats, plot tails,
-// checkpointed finding sets).
+// *reads* the subtree (manifest watermarks, plot tails, checkpointed
+// finding sets).
 
 import (
 	"fmt"
@@ -36,12 +36,10 @@ type WorkerDirs struct {
 	Root string
 	// Checkpoint holds the crash-safe campaign snapshot (Saver/Load).
 	Checkpoint string
-	// Stats holds plot.jsonl and the STATUS.json heartbeat.
+	// Stats holds plot.jsonl.
 	Stats string
 	// Diff is the DiffStore directory (evidence under Diff/diffs/).
 	Diff string
-	// Heartbeat is the atomic per-barrier status file.
-	Heartbeat string
 	// Log is the worker process's combined stdout+stderr capture.
 	Log string
 }
@@ -55,7 +53,6 @@ func WorkerLayout(farm string, index int) WorkerDirs {
 		Checkpoint: filepath.Join(root, "checkpoint"),
 		Stats:      filepath.Join(root, "stats"),
 		Diff:       root,
-		Heartbeat:  filepath.Join(root, "stats", "STATUS.json"),
 		Log:        filepath.Join(root, "worker.log"),
 	}
 }

@@ -14,7 +14,6 @@ func TestWorkerLayoutShape(t *testing.T) {
 	}
 	if d.Checkpoint != filepath.Join(d.Root, "checkpoint") ||
 		d.Stats != filepath.Join(d.Root, "stats") ||
-		d.Heartbeat != filepath.Join(d.Stats, "STATUS.json") ||
 		d.Log != filepath.Join(d.Root, "worker.log") {
 		t.Fatalf("layout = %+v", d)
 	}

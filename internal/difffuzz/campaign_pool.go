@@ -256,17 +256,12 @@ func (p *Pool) merge() bool {
 	return true
 }
 
-// afterBarrier runs last at every barrier, after the checkpoint, so a
-// heartbeat written by BarrierHook never claims progress the durable
-// checkpoint does not yet hold beyond one interval. A pool whose
-// shards are all retired stops instead of spinning through empty
-// epochs.
-func (p *Pool) afterBarrier() bool {
-	if p.opts.BarrierHook != nil {
-		p.opts.BarrierHook(p.Stats())
-	}
-	return p.live() > 0
-}
+// afterBarrier runs last at every barrier, after the checkpoint: a
+// pool whose shards are all retired stops instead of spinning through
+// empty epochs. The check sits here, not in next, so a resumed pool
+// with every shard retired still books one empty barrier, as the
+// spent-budget accounting under a cumulative budget expects.
+func (p *Pool) afterBarrier() bool { return p.live() > 0 }
 
 // snapshot aggregates the shard counters into one pool-wide progress
 // record. Called only between epochs (barrier or after Run), when no
@@ -309,6 +304,7 @@ func (p *Pool) snapshot() telemetry.Snapshot {
 	s.UniqueBuckets = p.buckets.Len()
 	s.UniqueCrashes = len(p.Crashes())
 	s.PersistErrors = p.persistErrors()
+	s.SpentExecs = p.spentTotal.Load()
 	if plateau > 0 {
 		s.PlateauExecs = plateau
 	}

@@ -48,15 +48,6 @@ type CompilePoolOptions struct {
 	// implementations accept, so a program corpus feeds the runtime
 	// oracle too. Default: just the empty input.
 	RuntimeInputs [][]byte
-	// CacheBudget is the byte budget of the shared compiled-program
-	// cache (internal/progcache): every corpus program is compiled at
-	// most once per distinct source text, and revisits — duplicate
-	// corpus entries, or the future -evolve progen revisit path — cost
-	// one hash and a map probe. 0 selects progcache.DefaultBudget, a
-	// negative budget disables bounding, and setting it has no effect
-	// on findings (a cached record is a pure function of the source),
-	// which is why it stays out of CompileCampaignHash.
-	CacheBudget int64
 	// StatsDir, when set, streams one telemetry snapshot per barrier
 	// to <dir>/plot.jsonl.
 	StatsDir string
@@ -99,14 +90,14 @@ type oracle struct {
 	inputs [][]byte // the runtime cross-check inputs
 }
 
-func newOracle(cfgs []compiler.Config, cacheBudget, stepLimit int64, parallelism int, inputs [][]byte) (oracle, error) {
+func newOracle(cfgs []compiler.Config, stepLimit int64, parallelism int, inputs [][]byte) (oracle, error) {
 	cfgs = configsOrDefault(cfgs)
 	if len(cfgs) < 2 {
 		return oracle{}, fmt.Errorf("difffuzz: need at least 2 compiler implementations, got %d", len(cfgs))
 	}
 	return oracle{
 		cfgs:   cfgs,
-		cache:  progcache.New(cacheBudget),
+		cache:  progcache.New(progcache.DefaultBudget),
 		copts:  core.Options{StepLimit: stepLimit, Parallelism: parallelism},
 		inputs: inputsOrEmpty(inputs),
 	}, nil
@@ -230,7 +221,7 @@ func NewCompilePool(corpus []string, opts CompilePoolOptions) (*CompilePool, err
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("difffuzz: compile pool needs a non-empty program corpus")
 	}
-	orc, err := newOracle(opts.Configs, opts.CacheBudget, opts.StepLimit, opts.Parallelism, opts.RuntimeInputs)
+	orc, err := newOracle(opts.Configs, opts.StepLimit, opts.Parallelism, opts.RuntimeInputs)
 	if err != nil {
 		return nil, err
 	}

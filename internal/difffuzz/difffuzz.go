@@ -99,15 +99,6 @@ type Options struct {
 	// snapshots; <= 0 means every barrier.
 	CheckpointEvery int64
 
-	// BarrierHook, when set, runs at the end of every pool
-	// synchronization barrier — single-threaded, after the merge, the
-	// telemetry snapshot, and any checkpoint save — with the pool's
-	// barrier-consistent stats. Worker processes under a supervisor use
-	// it to publish an atomic heartbeat file per barrier. Observability
-	// only: excluded from CampaignHash, ignored by plain Campaigns
-	// (which have no barriers).
-	BarrierHook func(PoolStats)
-
 	// poolShard marks a campaign built as a pool shard: it keeps its
 	// counters but no recorder — the pool snapshots at barriers, where
 	// all shard goroutines have joined.

@@ -53,10 +53,6 @@ type EvolvePoolOptions struct {
 	// RuntimeInputs are run differentially on every genome all
 	// implementations accept. Default: just the empty input.
 	RuntimeInputs [][]byte
-	// CacheBudget bounds the shared compiled-program cache. Elites
-	// and revisited offspring are cache hits; like the compile pool,
-	// the budget cannot change findings and stays out of the hash.
-	CacheBudget int64
 	// StatsDir, when set, streams one telemetry snapshot per
 	// generation to <dir>/plot.jsonl.
 	StatsDir string
@@ -196,7 +192,7 @@ func NewEvolvePool(opts EvolvePoolOptions) (*EvolvePool, error) {
 	if opts.Generations < 1 {
 		return nil, fmt.Errorf("difffuzz: evolve needs at least 1 generation, got %d", opts.Generations)
 	}
-	orc, err := newOracle(opts.Configs, opts.CacheBudget, opts.StepLimit, opts.Parallelism, opts.RuntimeInputs)
+	orc, err := newOracle(opts.Configs, opts.StepLimit, opts.Parallelism, opts.RuntimeInputs)
 	if err != nil {
 		return nil, err
 	}

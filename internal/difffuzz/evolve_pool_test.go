@@ -190,10 +190,9 @@ func TestEvolveCampaignHashCoversKnobs(t *testing.T) {
 			t.Errorf("changing %s does not change the campaign hash", name)
 		}
 	}
-	// Observability, cache, and parallelism knobs must not change it.
+	// Observability and parallelism knobs must not change it.
 	o := evolveTestOpts()
 	o.Parallelism = 7
-	o.CacheBudget = 123
 	o.StatsDir = "/tmp/x"
 	o.CheckpointDir = "/tmp/y"
 	if EvolveCampaignHash(o) != base {

@@ -81,24 +81,24 @@ func TestPoolStatsConcurrentWithRun(t *testing.T) {
 	}
 }
 
-// TestPoolBarrierHookRuns: the hook fires once per barrier with
-// barrier-consistent stats, and its spent-budget view is monotonic.
-func TestPoolBarrierHookRuns(t *testing.T) {
+// TestPoolSnapshotSpentExecs: every barrier snapshot carries the
+// pool's spent budget, so the last plot.jsonl line is a live
+// watermark, and that view is monotonic.
+func TestPoolSnapshotSpentExecs(t *testing.T) {
 	tg := poolTarget(t)
-	var spents []int64
-	opts := Options{FuzzSeed: 7, Shards: 2, SyncEvery: 250,
-		BarrierHook: func(st PoolStats) { spents = append(spents, st.SpentExecs) }}
+	opts := Options{FuzzSeed: 7, Shards: 2, SyncEvery: 250, Stats: true}
 	p, err := NewPool(tg.Src, tg.Seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Run(context.Background(), 1000)
-	if len(spents) != 4 {
-		t.Fatalf("barrier hook ran %d times, want 4 (budget 1000 / sync 250)", len(spents))
+	snaps := p.Snapshots()
+	if len(snaps) != 4 {
+		t.Fatalf("pool recorded %d snapshots, want 4 (budget 1000 / sync 250)", len(snaps))
 	}
-	for i, s := range spents {
-		if want := int64(250 * (i + 1)); s != want {
-			t.Fatalf("hook %d saw spent budget %d, want %d", i, s, want)
+	for i, s := range snaps {
+		if want := int64(250 * (i + 1)); s.SpentExecs != want {
+			t.Fatalf("snapshot %d carries spent budget %d, want %d", i, s.SpentExecs, want)
 		}
 	}
 }

@@ -211,22 +211,23 @@ func (s *Supervisor) Findings() []FarmFinding {
 	return out
 }
 
-// lastPlotSnapshot parses the final line of a plot.jsonl. Reads the
-// whole file: plot files grow one line per barrier and stay small.
+// lastPlotSnapshot parses the last complete line of a plot.jsonl. A
+// worker killed mid-append leaves a torn final line, so a line that
+// does not parse is skipped for the one before it. Reads the whole
+// file: plot files grow one line per barrier and stay small.
 func lastPlotSnapshot(path string) (telemetry.Snapshot, bool) {
-	var snap telemetry.Snapshot
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return snap, false
+		return telemetry.Snapshot{}, false
 	}
-	data = bytes.TrimRight(data, "\n")
-	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-		data = data[i+1:]
+	lines := bytes.Split(data, []byte("\n"))
+	for i := len(lines) - 1; i >= 0; i-- {
+		var snap telemetry.Snapshot
+		if json.Unmarshal(lines[i], &snap) == nil {
+			return snap, true
+		}
 	}
-	if len(data) == 0 || json.Unmarshal(data, &snap) != nil {
-		return snap, false
-	}
-	return snap, true
+	return telemetry.Snapshot{}, false
 }
 
 // PlotTail returns the last n raw lines of worker index's plot.jsonl

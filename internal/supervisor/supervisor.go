@@ -6,8 +6,8 @@
 // the whole recovery story: a worker killed at any instant (including
 // kill -9) resumes from its last synchronization barrier and loses at
 // most one barrier interval of work, which the supervisor quantifies
-// by reconciling the worker's live heartbeat watermark against its
-// durable manifest watermark.
+// by reconciling the worker's live watermark, the spent budget in the
+// last line of its plot.jsonl, against its durable manifest watermark.
 //
 // The supervisor never parses worker stdout and holds no fuzzing
 // state of its own; everything it reports ( /stats, /buckets,
@@ -21,12 +21,12 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"sync"
 	"syscall"
 	"time"
 
 	"compdiff/internal/checkpoint"
-	"compdiff/internal/telemetry"
 )
 
 // Worker states, in the order a healthy worker moves through them.
@@ -95,7 +95,7 @@ type Config struct {
 	TotalExecs int64
 	// Command builds worker index's process. The command must treat
 	// dirs as its private subtree: checkpoint in dirs.Checkpoint,
-	// telemetry in dirs.Stats, heartbeat at dirs.Heartbeat. Stdout and
+	// telemetry (plot.jsonl with spent_execs) in dirs.Stats. Stdout and
 	// stderr are captured to dirs.Log by the supervisor.
 	Command func(index int, dirs checkpoint.WorkerDirs) *exec.Cmd
 	Policy  Policy
@@ -129,7 +129,7 @@ type WorkerStatus struct {
 	// SpentExecs is the durable watermark from the worker's checkpoint
 	// manifest — progress that survives any crash.
 	SpentExecs int64 `json:"spent_execs"`
-	// ReplayExecs is the gap between the heartbeat (live) watermark
+	// ReplayExecs is the gap between the plot-tail (live) watermark
 	// and the durable one at the last exit: work the restarted process
 	// re-executes. Bounded by one checkpoint interval.
 	ReplayExecs   int64  `json:"replay_execs,omitempty"`
@@ -280,14 +280,14 @@ func (s *Supervisor) monitor(w *worker, wg *sync.WaitGroup) {
 		}
 
 		// Reconcile the watermarks: the manifest is the durable truth,
-		// the heartbeat is how far the dead process had actually gotten.
+		// the plot tail is how far the dead process had actually gotten.
 		durable := int64(0)
 		if man, err := checkpoint.ReadManifest(w.dirs.Checkpoint); err == nil {
 			durable = man.SpentExecs
 		}
 		live := durable
-		if hb, err := telemetry.ReadHeartbeat(w.dirs.Heartbeat); err == nil && hb.SpentExecs > live {
-			live = hb.SpentExecs
+		if snap, ok := lastPlotSnapshot(filepath.Join(w.dirs.Stats, "plot.jsonl")); ok && snap.SpentExecs > live {
+			live = snap.SpentExecs
 		}
 
 		s.mu.Lock()
@@ -299,7 +299,7 @@ func (s *Supervisor) monitor(w *worker, wg *sync.WaitGroup) {
 		s.events.add(w.index, EventExit, fmt.Sprintf("%s, spent %d", w.lastExit, durable))
 		if live > durable {
 			s.events.add(w.index, EventReplayGap,
-				fmt.Sprintf("heartbeat %d vs checkpoint %d: %d execs replay on restart", live, durable, live-durable))
+				fmt.Sprintf("live %d vs checkpoint %d: %d execs replay on restart", live, durable, live-durable))
 		}
 
 		if s.cfg.TotalExecs > 0 && durable >= s.cfg.TotalExecs ||

@@ -3,8 +3,8 @@ package supervisor
 // Process-level supervision tests using the helper-process pattern:
 // the test binary re-execs itself as a scriptable fake worker
 // (SUPERVISOR_FAKE_WORKER=1) that speaks the real hand-off protocol —
-// checkpoint manifests for the durable watermark, heartbeats for the
-// live one, SIGTERM-drain for pause — without the cost of a real
+// checkpoint manifests for the durable watermark, plot.jsonl lines
+// for the live one, SIGTERM-drain for pause — without the cost of a real
 // fuzzing campaign.
 
 import (
@@ -31,13 +31,13 @@ func TestMain(m *testing.M) {
 }
 
 // fakeWorker simulates one supervised worker: every interval it
-// advances its spent-exec counter by one step (a "barrier"), writes a
-// heartbeat, and checkpoints every second barrier — so a crash
+// advances its spent-exec counter by one step (a "barrier"), appends a
+// plot line, and checkpoints every second barrier — so a crash
 // between checkpoints leaves the live watermark ahead of the durable
 // one, exactly like a kill -9 mid-campaign. SIGTERM drains: save and
 // exit 0. Modes: "run" (to completion), "fail" (exit 1 at once),
 // "crash-at" (exit 1 once spent reaches FAKE_CRASH_AT, after the
-// heartbeat but before the checkpoint).
+// plot line but before the checkpoint).
 func fakeWorker() int {
 	mode := os.Getenv("FAKE_MODE")
 	if mode == "fail" {
@@ -48,9 +48,12 @@ func fakeWorker() int {
 	intervalMs, _ := strconv.Atoi(os.Getenv("FAKE_INTERVAL_MS"))
 	crashAt, _ := strconv.ParseInt(os.Getenv("FAKE_CRASH_AT"), 10, 64)
 	ckDir := os.Getenv("FAKE_CHECKPOINT")
-	hbPath := os.Getenv("FAKE_HEARTBEAT")
 
 	sv, err := checkpoint.NewSaver(ckDir)
+	if err != nil {
+		return 1
+	}
+	rec, err := telemetry.NewRecorder(os.Getenv("FAKE_STATS"))
 	if err != nil {
 		return 1
 	}
@@ -73,12 +76,9 @@ func fakeWorker() int {
 		}
 		spent += step
 		barrier++
-		_ = telemetry.WriteHeartbeat(hbPath, telemetry.Heartbeat{
-			Pid: os.Getpid(), UnixMs: time.Now().UnixMilli(),
-			Seq: int64(barrier), SpentExecs: spent,
-		})
+		rec.Record(telemetry.Snapshot{SpentExecs: spent})
 		if mode == "crash-at" && spent >= crashAt && spent < total {
-			return 1 // heartbeat written, checkpoint (maybe) behind
+			return 1 // plot line written, checkpoint (maybe) behind
 		}
 		if barrier%2 == 0 {
 			save()
@@ -97,7 +97,7 @@ func fakeCommand(mode string, total, step int64, intervalMs int, extra ...string
 			"SUPERVISOR_FAKE_WORKER=1",
 			"FAKE_MODE="+mode,
 			"FAKE_CHECKPOINT="+dirs.Checkpoint,
-			"FAKE_HEARTBEAT="+dirs.Heartbeat,
+			"FAKE_STATS="+dirs.Stats,
 			fmt.Sprintf("FAKE_TOTAL=%d", total),
 			fmt.Sprintf("FAKE_STEP=%d", step),
 			fmt.Sprintf("FAKE_INTERVAL_MS=%d", intervalMs),
@@ -172,7 +172,7 @@ func TestSupervisorRunsFleetToCompletion(t *testing.T) {
 // TestSupervisorRestartsKilledWorker is the acceptance property in
 // miniature: kill -9 a worker mid-campaign; the supervisor restarts
 // it from its checkpoint, reports the replay gap between the
-// heartbeat and durable watermarks, and the fleet still converges to
+// plot-tail and durable watermarks, and the fleet still converges to
 // the full budget.
 func TestSupervisorRestartsKilledWorker(t *testing.T) {
 	s, err := New(Config{
@@ -219,13 +219,13 @@ func TestSupervisorRestartsKilledWorker(t *testing.T) {
 	}
 }
 
-// TestSupervisorReportsReplayGap: a crash after a heartbeat but
+// TestSupervisorReportsReplayGap: a crash after a plot line but
 // before the next checkpoint must surface as a replay-gap event and a
 // nonzero ReplayExecs — the "at most one sync interval lost" bound
 // made visible.
 func TestSupervisorReportsReplayGap(t *testing.T) {
 	// Checkpoints land on even barriers (200, 400, ...); crashing at
-	// spent=300 leaves heartbeat 300 vs durable 200.
+	// spent=300 leaves plot tail 300 vs durable 200.
 	s, err := New(Config{
 		Farm: t.TempDir(), Workers: 1, TotalExecs: 1000,
 		Command: fakeCommand("crash-at", 1000, 100, 5, "FAKE_CRASH_AT=300"),

@@ -158,8 +158,13 @@ type Snapshot struct {
 	// PersistErrors counts DiffStore persistence failures (disk-full,
 	// permission loss): the campaign keeps running, but the on-disk
 	// evidence is incomplete and reports should say so.
-	PersistErrors int64           `json:"persist_errors,omitempty"`
-	Shards        []ShardSnapshot `json:"shards,omitempty"`
+	PersistErrors int64 `json:"persist_errors,omitempty"`
+	// SpentExecs is a pool's cumulative per-shard budget, carried
+	// across resumes by the checkpoint. A supervised worker's last
+	// plot.jsonl line is thus its live watermark, which the supervisor
+	// reconciles against the checkpointed one after a crash.
+	SpentExecs int64           `json:"spent_execs,omitempty"`
+	Shards     []ShardSnapshot `json:"shards,omitempty"`
 
 	// Compile-stage oracle counters, set only by program-corpus
 	// campaigns (zero and omitted in input-fuzzing campaigns). They are

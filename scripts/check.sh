@@ -211,6 +211,15 @@ until curl -s "http://$SERVE_ADDR/events" | grep -q '"kind": "restart"'; do
 	fi
 	sleep 0.2
 done
+# Each worker's plot.jsonl is its live watermark: the supervisor
+# reads spent_execs from the last line to size the replay gap.
+for plot in "$FARM_DIR"/workers/worker-00*/stats/plot.jsonl; do
+	grep -q '"spent_execs":[1-9]' "$plot" || {
+		echo "serve smoke: $plot carries no spent_execs" >&2
+		kill -9 "$SERVE_PID" 2>/dev/null || true
+		exit 1
+	}
+done
 curl -s "http://$SERVE_ADDR/stats" | grep -q '"spent_execs": [1-9]' || {
 	echo "serve smoke: merged stats show no spent execs" >&2
 	kill -9 "$SERVE_PID" 2>/dev/null || true
