@@ -771,10 +771,10 @@ func runEvolveCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 // openPool constructs a campaign pool with fresh, honoring -resume
 // through resumed: a missing checkpoint falls back to a fresh start
 // (so the same command line works for the first run and every
-// restart), an options mismatch is a user error (exit 2), and a
-// corrupt checkpoint is fatal (exit 1) — never a panic, and never a
-// silent fresh start that would clobber it. progress describes a
-// resumed pool's checkpointed progress.
+// restart), an options or format-version mismatch is a user error
+// (exit 2), and a corrupt checkpoint is fatal (exit 1) — never a
+// panic, and never a silent fresh start that would clobber it.
+// progress describes a resumed pool's checkpointed progress.
 func openPool[P interface{ CheckpointSeq() int }](resume bool, dir string, stderr io.Writer,
 	fresh, resumed func() (P, error), progress func(P) string) (P, error) {
 	if !resume {

@@ -2,8 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"compdiff/internal/checkpoint"
+	"compdiff/internal/fuzz"
+	"compdiff/internal/hash"
+	"compdiff/internal/vm"
 )
 
 // validCfg is a baseline that passes validation; cases mutate it.
@@ -231,6 +240,7 @@ func TestValidateFlags(t *testing.T) {
 // target all exit 2 before any campaign starts, with nothing on stdout
 // and a message naming the culprit on stderr.
 func TestRealMainUsageExit(t *testing.T) {
+	v1 := writeVersion1Checkpoint(t)
 	cases := []struct {
 		name   string
 		args   []string
@@ -242,6 +252,8 @@ func TestRealMainUsageExit(t *testing.T) {
 		{"zero-shards", []string{"-target", "tcpdump", "-shards", "0"}, "-shards 0"},
 		{"unknown-san", []string{"-target", "tcpdump", "-san", "bogus"}, "-san"},
 		{"unknown-target", []string{"-target", "no-such-target", "-execs", "10"}, "no-such-target"},
+		{"resume-version-1-checkpoint", []string{"-target", "tcpdump", "-execs", "10", "-checkpoint", v1, "-resume"},
+			"format version 1, this build reads version"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,4 +269,41 @@ func TestRealMainUsageExit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeVersion1Checkpoint writes a checkpoint directory the way builds
+// with checkpoint format version 1 wrote it — dense 64 KiB virgin maps
+// — and returns its path.
+func writeVersion1Checkpoint(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	shard := checkpoint.ShardState{Fuzzer: &fuzz.State{
+		Virgin: make([]byte, vm.CovMapSize),
+		Queue:  []*fuzz.Seed{{Data: []byte("x"), CovBits: 1}},
+	}}
+	data, err := json.Marshal(&checkpoint.State{Version: 1, Shards: []checkpoint.ShardState{shard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := hash.New128(0x5afe)
+	d.Write(data)
+	h1, h2 := d.Sum128()
+	man, err := json.Marshal(&checkpoint.Manifest{
+		Version:   1,
+		Seq:       1,
+		StateFile: "state-000001.ckpt",
+		StateSize: int64(len(data)),
+		StateSum:  fmt.Sprintf("%016x%016x", h1, h2),
+		Shards:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "state-000001.ckpt"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }

@@ -170,7 +170,8 @@ var (
 	// ErrCheckpointCorrupt reports a damaged or truncated checkpoint.
 	ErrCheckpointCorrupt = checkpoint.ErrCorrupt
 	// ErrCheckpointMismatch reports a checkpoint written by a campaign
-	// with different source, seeds, or options.
+	// with different source, seeds, or options, or by a build with
+	// another checkpoint format version.
 	ErrCheckpointMismatch = checkpoint.ErrMismatch
 )
 

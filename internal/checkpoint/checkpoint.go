@@ -44,8 +44,12 @@ import (
 	"compdiff/internal/triage"
 )
 
-// Version is the snapshot schema version. Load rejects any other.
-const Version = 1
+// Version is the snapshot schema version. Load rejects any other as
+// ErrMismatch. Version 2 stores the fuzzer's compact coverage map: a
+// shard's Virgin has one byte per AFL index its B_fuzz can reach, and
+// queue Seed.Hash values fingerprint that map, so a version-1 state
+// (dense 64 KiB map) cannot be resumed.
+const Version = 2
 
 const (
 	manifestName = "MANIFEST.json"
@@ -62,9 +66,10 @@ var (
 	// absent checkpoint.
 	ErrCorrupt = errors.New("checkpoint: corrupt or truncated checkpoint")
 	// ErrMismatch reports a checkpoint whose campaign options hash does
-	// not match the resuming campaign — a user error (exit 2 in the
-	// CLI), not a corruption.
-	ErrMismatch = errors.New("checkpoint: campaign options do not match checkpoint")
+	// not match the resuming campaign, or whose format version is not
+	// this build's — a user error (exit 2 in the CLI), not a
+	// corruption.
+	ErrMismatch = errors.New("checkpoint: checkpoint does not match this campaign")
 	// ErrInjectedFault is returned by Save when a test-injected fault
 	// budget runs out, simulating a SIGKILL mid-save.
 	ErrInjectedFault = errors.New("checkpoint: injected fault (simulated kill)")
@@ -406,7 +411,8 @@ func loadManifest(dir string) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
 	if man.Version != Version {
-		return nil, fmt.Errorf("%w: manifest version %d, want %d", ErrCorrupt, man.Version, Version)
+		return nil, fmt.Errorf("%w: checkpoint format version %d, this build reads version %d",
+			ErrMismatch, man.Version, Version)
 	}
 	if man.StateFile == "" || man.StateFile != filepath.Base(man.StateFile) {
 		return nil, fmt.Errorf("%w: manifest names invalid state file %q", ErrCorrupt, man.StateFile)
@@ -415,8 +421,9 @@ func loadManifest(dir string) (*Manifest, error) {
 }
 
 // Load reads and verifies the current checkpoint in dir. It returns
-// ErrNoCheckpoint when no manifest exists, and ErrCorrupt (wrapped
-// with detail) when the manifest or state file is damaged — never a
+// ErrNoCheckpoint when no manifest exists, ErrMismatch when a build
+// with another format version wrote it, and ErrCorrupt (wrapped with
+// detail) when the manifest or state file is damaged — never a
 // partially-decoded state.
 func Load(dir string) (*State, *Manifest, error) {
 	man, err := loadManifest(dir)

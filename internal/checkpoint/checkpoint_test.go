@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,7 +34,7 @@ func sampleState(seq int) *State {
 	fs := &fuzz.State{
 		MutCursor: 12345 + uint64(seq),
 		RngCursor: 678,
-		Virgin:    make([]byte, fuzz.MapSize),
+		Virgin:    make([]byte, 304), // a compact map: readelf's B_fuzz reaches 304 indices
 		Queue: []*fuzz.Seed{
 			{Data: []byte("seed-a"), CovBits: 9, Hash: 0xaaa, Favored: true, Execs: 3},
 			{Data: []byte{0, 1, 2}, CovBits: 4, Hash: 0xbbb},
@@ -184,9 +185,8 @@ func TestLoadDetectsBitFlip(t *testing.T) {
 func TestLoadDetectsManifestDamage(t *testing.T) {
 	for name, content := range map[string]string{
 		"garbage":       "{not json",
-		"wrong-version": `{"version":99,"state_file":"state-000001.ckpt"}`,
-		"traversal":     `{"version":1,"state_file":"../../etc/passwd"}`,
-		"missing-state": `{"version":1,"state_file":"state-999999.ckpt"}`,
+		"traversal":     fmt.Sprintf(`{"version":%d,"state_file":"../../etc/passwd"}`, Version),
+		"missing-state": fmt.Sprintf(`{"version":%d,"state_file":"state-999999.ckpt"}`, Version),
 	} {
 		dir, _ := saveOne(t)
 		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(content), 0o644); err != nil {
@@ -194,6 +194,55 @@ func TestLoadDetectsManifestDamage(t *testing.T) {
 		}
 		if _, _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestLoadRefusesOtherVersions: a checkpoint another format version
+// wrote is intact but not this build's to read. Version 1 is what
+// older builds wrote: dense 64 KiB virgin maps and seed hashes over
+// them. Load and ReadManifest must refuse it as ErrMismatch (the CLI's
+// exit 2), never as damage and never by misreading it.
+func TestLoadRefusesOtherVersions(t *testing.T) {
+	for _, version := range []int{1, Version + 1} {
+		dir := t.TempDir()
+		st := sampleState(1)
+		st.Version = version
+		st.Shards[0].Fuzzer.Virgin = make([]byte, vm.CovMapSize)
+		data, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stateFile := "state-000001.ckpt"
+		man := Manifest{
+			Version:     version,
+			OptionsHash: st.OptionsHash,
+			Seq:         1,
+			StateFile:   stateFile,
+			StateSize:   int64(len(data)),
+			StateSum:    sumHex(data),
+			SpentExecs:  st.SpentExecs,
+			Shards:      len(st.Shards),
+		}
+		mdata, err := json.Marshal(&man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, stateFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), mdata, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Load(dir)
+		if !errors.Is(err, ErrMismatch) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("version %d: Load err = %v, want ErrMismatch", version, err)
+		}
+		if want := fmt.Sprintf("version %d", version); !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: Load err = %q does not name %q", version, err, want)
+		}
+		if _, err := ReadManifest(dir); !errors.Is(err, ErrMismatch) {
+			t.Fatalf("version %d: ReadManifest err = %v, want ErrMismatch", version, err)
 		}
 	}
 }

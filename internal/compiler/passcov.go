@@ -46,8 +46,7 @@ const (
 
 // NumPassKinds is the pass-coverage bitmap width in bits. Every
 // consumer sizing an array or telemetry field by it is protected by
-// the assertions below, the same way fuzz.MapSize is pinned to
-// vm.CovMapSize.
+// the assertions below.
 const NumPassKinds = 6
 
 // Compile-time width guards: adding a pass bit without bumping

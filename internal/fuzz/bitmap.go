@@ -1,31 +1,16 @@
 // Package fuzz implements a coverage-guided greybox fuzzer in the
-// AFL++ mold: a 64 KiB edge bitmap with hit-count bucketing, a seed
-// queue with favored-entry culling, deterministic and havoc mutation
-// stages, and splicing. CompDiff-AFL++ (package difffuzz) plugs its
-// differential oracle into the execution hook without touching this
-// core loop, mirroring how the paper integrates CompDiff into AFL++
-// without changing the fuzzer's logic (Algorithm 1).
+// AFL++ mold: an edge map with hit-count bucketing, a seed queue with
+// favored-entry culling, deterministic and havoc mutation stages, and
+// splicing. The map's length is the executor's: the VM gives it one
+// byte per AFL index the binary can reach, as AFL++ sizes its map to
+// the binary's edge count, so the per-exec sweeps below cost a few
+// hundred bytes rather than 64 KiB. CompDiff-AFL++ (package difffuzz)
+// plugs its differential oracle into the execution hook without
+// touching this core loop, mirroring how the paper integrates CompDiff
+// into AFL++ without changing the fuzzer's logic (Algorithm 1).
 package fuzz
 
-import (
-	"encoding/binary"
-	"math/bits"
-
-	"compdiff/internal/vm"
-)
-
-// MapSize is the coverage bitmap size, pinned to vm.CovMapSize: the VM
-// writes edges modulo its map, the fuzzer classifies the same bytes.
-const MapSize = 1 << 16
-
-// Compile-time equality assertion, both directions — a negative
-// constant does not convert to uint, so either drift refuses to build.
-// The pass-coverage bitmap (compiler.NumPassKinds) is guarded the same
-// way next to its definition.
-const (
-	_ = uint(MapSize - vm.CovMapSize)
-	_ = uint(vm.CovMapSize - MapSize)
-)
+import "math/bits"
 
 // classLookup buckets raw edge hit counts the way AFL does, so that
 // loop-count changes register as new coverage without exploding the
@@ -57,24 +42,9 @@ func buildClassLookup() [256]byte {
 }
 
 // Classify rewrites a raw hit-count map into bucketed form, in place.
-// The map is almost entirely zero on any one execution, so the scan
-// tests eight bytes per load and only touches the bytes of words that
-// have any hit at all — the dominant cost of the campaign loop is
-// these 64 KiB sweeps, not the VM steps between them.
 func Classify(cov []byte) {
-	i := 0
-	for ; i+8 <= len(cov); i += 8 {
-		if binary.LittleEndian.Uint64(cov[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if v := cov[j]; v != 0 {
-				cov[j] = classLookup[v]
-			}
-		}
-	}
-	for ; i < len(cov); i++ {
-		if v := cov[i]; v != 0 {
+	for i, v := range cov {
+		if v != 0 {
 			cov[i] = classLookup[v]
 		}
 	}
@@ -83,46 +53,18 @@ func Classify(cov []byte) {
 // HasNewBits reports whether classified coverage cov contains bits not
 // yet in virgin, updating virgin. Return values follow AFL: 2 when a
 // brand-new edge was hit, 1 when only hit counts changed, 0 otherwise.
-// Word-wise double skip: a zero coverage word contributes nothing,
-// and a word whose bits are all already in virgin neither updates nor
-// changes the return — after the first few executions nearly every
-// word takes one of the two skips.
 func HasNewBits(virgin, cov []byte) int {
 	ret := 0
-	i := 0
-	for ; i+8 <= len(cov) && i+8 <= len(virgin); i += 8 {
-		cw := binary.LittleEndian.Uint64(cov[i:])
-		if cw == 0 || binary.LittleEndian.Uint64(virgin[i:])&cw == cw {
+	for i, v := range cov {
+		if v == 0 || virgin[i]&v == v {
 			continue
 		}
-		for j := i; j < i+8; j++ {
-			v := cov[j]
-			if v == 0 {
-				continue
-			}
-			if virgin[j]&v != v {
-				if virgin[j] == 0 {
-					ret = 2
-				} else if ret == 0 {
-					ret = 1
-				}
-				virgin[j] |= v
-			}
+		if virgin[i] == 0 {
+			ret = 2
+		} else if ret == 0 {
+			ret = 1
 		}
-	}
-	for ; i < len(cov); i++ {
-		v := cov[i]
-		if v == 0 {
-			continue
-		}
-		if virgin[i]&v != v {
-			if virgin[i] == 0 {
-				ret = 2
-			} else if ret == 0 {
-				ret = 1
-			}
-			virgin[i] |= v
-		}
+		virgin[i] |= v
 	}
 	return ret
 }
@@ -130,37 +72,18 @@ func HasNewBits(virgin, cov []byte) int {
 // CountBits returns the number of set bucket bits (queue scoring).
 func CountBits(cov []byte) int {
 	n := 0
-	i := 0
-	for ; i+8 <= len(cov); i += 8 {
-		n += bits.OnesCount64(binary.LittleEndian.Uint64(cov[i:]))
-	}
-	for ; i < len(cov); i++ {
-		n += bits.OnesCount8(cov[i])
+	for _, v := range cov {
+		n += bits.OnesCount8(v)
 	}
 	return n
 }
 
 // CovHash is a cheap fingerprint of a classified bitmap, used to
-// detect "same path" executions.
-// The zero-word skip leaves the digest byte-identical to the naive
-// byte scan (zero bytes never contribute), so persisted campaign
-// state keyed on these hashes stays valid.
+// detect "same path" executions. Zero bytes never contribute.
 func CovHash(cov []byte) uint64 {
 	var h uint64 = 0xcbf29ce484222325
-	i := 0
-	for ; i+8 <= len(cov); i += 8 {
-		if binary.LittleEndian.Uint64(cov[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if v := cov[j]; v != 0 {
-				h ^= uint64(j)<<8 | uint64(v)
-				h *= 0x100000001b3
-			}
-		}
-	}
-	for ; i < len(cov); i++ {
-		if v := cov[i]; v != 0 {
+	for i, v := range cov {
+		if v != 0 {
 			h ^= uint64(i)<<8 | uint64(v)
 			h *= 0x100000001b3
 		}

@@ -8,7 +8,10 @@ import (
 )
 
 // Executor runs a target binary on an input and exposes its coverage
-// bitmap. *vm.Machine with coverage enabled satisfies it.
+// map: one raw hit count per map slot, which the fuzzer classifies in
+// place. The map's length is fixed for the executor's lifetime; the
+// fuzzer sizes its virgin map to it. *vm.Machine with coverage enabled
+// satisfies it.
 type Executor interface {
 	Run(input []byte) *vm.Result
 	Coverage() []byte
@@ -100,7 +103,7 @@ func New(exec Executor, seeds [][]byte, opts Options) *Fuzzer {
 		mut:    NewMutator(opts.Seed, opts.MaxInputLen),
 		rng:    rand.New(cs),
 		rngCS:  cs,
-		virgin: make([]byte, MapSize),
+		virgin: make([]byte, len(exec.Coverage())),
 		hashes: map[uint64]bool{},
 		crash:  map[uint64]*Crash{},
 	}

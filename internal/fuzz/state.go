@@ -76,8 +76,8 @@ func (f *Fuzzer) RestoreState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("fuzz: nil state")
 	}
-	if len(st.Virgin) != MapSize {
-		return fmt.Errorf("fuzz: virgin map is %d bytes, want %d", len(st.Virgin), MapSize)
+	if len(st.Virgin) != len(f.virgin) {
+		return fmt.Errorf("fuzz: virgin map is %d bytes, want %d", len(st.Virgin), len(f.virgin))
 	}
 	if len(st.Queue) == 0 {
 		return fmt.Errorf("fuzz: restored queue is empty")

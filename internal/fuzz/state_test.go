@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"compdiff/internal/vm"
 )
 
 // TestCountingSourceTransparent: the wrapper must not change the
@@ -146,18 +148,28 @@ func TestExportSharesNoMemory(t *testing.T) {
 // TestRestoreRejectsBadState: restore must validate rather than adopt
 // a state that cannot be correct.
 func TestRestoreRejectsBadState(t *testing.T) {
-	f := New(machineFor(t, maze), [][]byte{[]byte("AAAA")}, Options{Seed: 1})
+	m := machineFor(t, maze)
+	f := New(m, [][]byte{[]byte("AAAA")}, Options{Seed: 1})
+	mapLen := len(m.Coverage())
+	if mapLen == 7 || mapLen == vm.CovMapSize {
+		t.Fatalf("maze map is %d bytes; the wrong-size rows below would not test a wrong size", mapLen)
+	}
 	if err := f.RestoreState(nil); err == nil {
 		t.Fatal("nil state accepted")
 	}
 	if err := f.RestoreState(&State{Virgin: make([]byte, 7)}); err == nil {
 		t.Fatal("wrong virgin size accepted")
 	}
-	if err := f.RestoreState(&State{Virgin: make([]byte, MapSize)}); err == nil {
+	// A dense 64 KiB virgin map is what older builds checkpointed.
+	old := &State{Virgin: make([]byte, vm.CovMapSize), Queue: []*Seed{{Data: []byte("x")}}}
+	if err := f.RestoreState(old); err == nil {
+		t.Fatal("old-format 64 KiB virgin map accepted")
+	}
+	if err := f.RestoreState(&State{Virgin: make([]byte, mapLen)}); err == nil {
 		t.Fatal("empty queue accepted")
 	}
 	st := &State{
-		Virgin:  make([]byte, MapSize),
+		Virgin:  make([]byte, mapLen),
 		Queue:   []*Seed{{Data: []byte("x")}},
 		Crashes: []*Crash{{Input: []byte("y")}}, // nil Result
 	}

@@ -247,7 +247,7 @@ func (m *Machine) step() {
 	case ir.Edge:
 		if m.cov != nil {
 			loc := m.edgeHash[in.Imm]
-			m.cov[loc^m.prevLoc]++
+			m.cov[m.covSlot[loc^m.prevLoc]]++
 			m.prevLoc = loc >> 1
 		}
 

@@ -613,7 +613,7 @@ outer:
 			case ir.Edge:
 				if m.cov != nil {
 					loc := m.edgeHash[in.Imm]
-					m.cov[loc^m.prevLoc]++
+					m.cov[m.covSlot[loc^m.prevLoc]]++
 					m.prevLoc = loc >> 1
 				}
 				continue

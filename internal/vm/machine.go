@@ -40,8 +40,8 @@ type Options struct {
 	MaxOutput int
 	// San selects sanitizer instrumentation.
 	San SanMode
-	// Coverage enables the AFL-style edge bitmap (for instrumented
-	// binaries).
+	// Coverage enables the AFL-style edge map (for instrumented
+	// binaries): one hit counter per AFL index the binary can reach.
 	Coverage bool
 	// TimeNow supplies the wall clock for the time_now builtin. The
 	// default derives a value from the binary's personality and a run
@@ -67,7 +67,9 @@ type Options struct {
 // DefaultStepLimit is the per-run instruction budget.
 const DefaultStepLimit = 4_000_000
 
-// CovMapSize is the coverage bitmap size (AFL's classic 64 KiB).
+// CovMapSize is the size of the AFL edge index space (AFL's classic
+// 64 KiB map). The machine's coverage map holds one byte per index of
+// this space that the binary can reach, not CovMapSize bytes.
 const CovMapSize = 1 << 16
 
 // Dirty-page tracking: writes set a bit per touched page, and reset
@@ -118,7 +120,8 @@ type Machine struct {
 	asanShadow []byte // 0 ok, else poison kind
 	msanInit   []byte // 1 = initialized
 
-	cov      []byte
+	cov      []byte   // one hit counter per reachable AFL index
+	covSlot  []uint16 // AFL index -> slot in cov
 	edgeHash []uint16
 
 	// Run state.
@@ -229,17 +232,56 @@ func New(prog *ir.Program, opts Options) *Machine {
 	m.temps = make([]slot, 64)
 	m.frames = make([]frame, 0, 64)
 	if opts.Coverage {
-		m.cov = make([]byte, CovMapSize)
-		n := prog.NumEdges
-		if n == 0 {
-			n = 1
-		}
-		m.edgeHash = make([]uint16, n)
+		m.edgeHash = make([]uint16, prog.NumEdges)
 		for i := range m.edgeHash {
 			m.edgeHash[i] = uint16(hash.Sum32([]byte{byte(i), byte(i >> 8), byte(i >> 16)}, 0xed9e) & (CovMapSize - 1))
 		}
+		var n int
+		m.covSlot, n = covSlots(m.edgeHash)
+		m.cov = make([]byte, n)
 	}
 	return m
+}
+
+// covSlots numbers the AFL indices a run can hit, in ascending index
+// order, and returns the index -> slot table with the number of slots.
+// An Edge hits loc^prevLoc, where loc is edgeHash of the edge and
+// prevLoc is 0 at the start of a run or edgeHash[p]>>1 after edge p,
+// so the reachable set is edgeHash[e] and edgeHash[e]^edgeHash[p]>>1
+// over all edge pairs. Two indices share a slot iff they are the same
+// index: every hash collision of the dense 64 KiB map is kept, and
+// the classified map a fuzzer sees differs from the dense one only by
+// the zero bytes it leaves out. The enumeration stops once every index
+// is used, which bounds it on programs with very many edges.
+func covSlots(edgeHash []uint16) ([]uint16, int) {
+	var seen [CovMapSize / 64]uint64
+	n := 0
+	mark := func(i uint16) {
+		if w, b := i/64, uint64(1)<<(i%64); seen[w]&b == 0 {
+			seen[w] |= b
+			n++
+		}
+	}
+	for _, loc := range edgeHash {
+		mark(loc)
+	}
+	for _, p := range edgeHash {
+		if n == CovMapSize {
+			break
+		}
+		for _, loc := range edgeHash {
+			mark(loc ^ p>>1)
+		}
+	}
+	slot := make([]uint16, CovMapSize)
+	next := 0
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			slot[w*64+bits.TrailingZeros64(word)] = uint16(next)
+			next++
+		}
+	}
+	return slot, n
 }
 
 // buildPristine constructs the initial memory image: the
@@ -273,8 +315,10 @@ func (m *Machine) buildPristine() {
 // Program returns the loaded binary.
 func (m *Machine) Program() *ir.Program { return m.prog }
 
-// Coverage returns the edge bitmap of the last run (nil when coverage
-// is disabled).
+// Coverage returns the edge map of the last run: one raw hit count per
+// AFL index the binary can reach, in ascending index order (nil when
+// coverage is disabled). Its length is fixed for the machine's
+// lifetime.
 func (m *Machine) Coverage() []byte { return m.cov }
 
 // Run executes the binary on input and returns an independent Result

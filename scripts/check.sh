@@ -21,10 +21,14 @@ go test -race ./...
 # detector: the fast loop and the reference loop share machine state,
 # and this is the gate that keeps them observationally identical. The
 # full ./... run above includes it; naming it here makes the guard
-# explicit and fails fast if the test is ever renamed away.
+# explicit and fails fast if the test is ever renamed away. The
+# coverage map rides along: both loops must fill it identically, and a
+# fuzzer over it must keep the queue, stats and crashes pinned in
+# testdata/golden/fuzz_queue.golden for every target.
 echo "== vm differential self-test (-race)"
-go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting' \
+go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting|TestCompactCoverage' \
 	-count=1 ./internal/vm
+go test -race -run 'TestFuzzQueueGolden' -count=1 .
 
 # The fast-path self-test is the same guard one layer up:
 # Suite.RunFast must reach the same verdicts and checksums as the
