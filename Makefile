@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check test cover bench bench-quick golden
+.PHONY: check test cover bench-quick golden
 
 check:
 	scripts/check.sh $(FUZZTIME)
@@ -19,12 +19,8 @@ test:
 cover:
 	scripts/cover.sh
 
-# Benchmark trajectory: run the tier-1 benchmark set with -benchmem
-# and record a BENCH_<date>.json snapshot (see scripts/bench.sh for
-# knobs). bench-quick is the old smoke: every benchmark once, no file.
-bench:
-	scripts/bench.sh
-
+# Every Go benchmark once, as a smoke. The benchmark record is
+# perfbench (BENCHMARK.json); the BENCH_*.json files are frozen history.
 bench-quick:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 

@@ -176,13 +176,11 @@ func overheadBench(b *testing.B, k int) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel execution layer: the same differential run fanned across a
-// worker pool. On a multi-core runner BenchmarkSuiteRunParallel
-// should beat BenchmarkSuiteRunSequential by ~min(Parallelism, k,
-// cores); on one core the pair bounds the pool's overhead instead.
+// Differential execution: one input through the ten binaries, one
+// after another (Algorithm 1). Campaigns scale across cores with
+// shards, not within one input.
 
-func BenchmarkSuiteRunSequential(b *testing.B) { suiteRunBench(b, 1, false) }
-func BenchmarkSuiteRunParallel(b *testing.B)   { suiteRunBench(b, 4, false) }
+func BenchmarkSuiteRunSequential(b *testing.B) { suiteRunBench(b, false) }
 
 // BenchmarkSuiteRunFast is the fuzzing fast path over the same ten
 // binaries: outputs checksummed in machine-owned buffers, results
@@ -195,23 +193,23 @@ func BenchmarkSuiteRunFast(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	suite.Warm(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		suite.RunFast(input)
 	}
 }
 
-// BenchmarkSuiteRunParallelTelemetry is BenchmarkSuiteRunParallel with
-// the metrics sink attached — the pair bounds the telemetry overhead
-// (two atomics and a histogram insert per VM run; budget: <= 5%).
-func BenchmarkSuiteRunParallelTelemetry(b *testing.B) { suiteRunBench(b, 4, true) }
+// BenchmarkSuiteRunTelemetry is BenchmarkSuiteRunSequential with the
+// metrics sink attached — the pair bounds the telemetry overhead (two
+// clock reads per chain, two atomics and a histogram insert per VM
+// run; budget: <= 5%).
+func BenchmarkSuiteRunTelemetry(b *testing.B) { suiteRunBench(b, true) }
 
-func suiteRunBench(b *testing.B, parallelism int, withMetrics bool) {
+func suiteRunBench(b *testing.B, withMetrics bool) {
 	tg := targets.ByName("readelf")
 	input := tg.Seeds[0]
 	impls := compdiff.DefaultImplementations()
-	opts := compdiff.Options{Parallelism: parallelism}
+	var opts compdiff.Options
 	if withMetrics {
 		names := make([]string, len(impls))
 		for i, im := range impls {
@@ -223,8 +221,6 @@ func suiteRunBench(b *testing.B, parallelism int, withMetrics bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	suite.Warm(parallelism)
-	b.ReportMetric(float64(parallelism), "workers")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		suite.Run(input)

@@ -33,7 +33,7 @@
 //	                -checkpoint)
 //	-seed N         fuzzer RNG seed
 //	-shards N       parallel fuzzer instances, AFL -M/-S style
-//	-jobs N         worker goroutines per differential cross-check
+//	-jobs N         k-way compile fan-out (lowerings run at once per build)
 //	-sync N         executions between shard synchronization barriers
 //	-san MODE       sanitizer on the fuzzing binary: none|asan|ubsan|msan
 //	-diffdir DIR    persist diverging inputs under DIR/diffs/
@@ -247,7 +247,7 @@ func (c cliConfig) validate() error {
 		return fmt.Errorf("-shards %d: a campaign needs at least one fuzzer instance", c.shards)
 	}
 	if c.jobs < 1 {
-		return fmt.Errorf("-jobs %d: the cross-check needs at least one worker", c.jobs)
+		return fmt.Errorf("-jobs %d: the compile fan-out needs at least one lowering at a time", c.jobs)
 	}
 	if c.sync < 0 {
 		return fmt.Errorf("-sync %d: the barrier interval cannot be negative", c.sync)
@@ -295,7 +295,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&cfg.execsTotal, "execs-total", 0, "cumulative per-shard budget across resumes (needs -checkpoint)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "fuzzer RNG seed")
 	fs.IntVar(&cfg.shards, "shards", 1, "parallel fuzzer instances (AFL -M/-S style)")
-	fs.IntVar(&cfg.jobs, "jobs", 1, "worker goroutines per differential cross-check")
+	fs.IntVar(&cfg.jobs, "jobs", 1, "k-way compile fan-out: lowerings run at once per build")
 	fs.Int64Var(&cfg.sync, "sync", 0, "executions between shard sync barriers (0 = budget/8)")
 	fs.StringVar(&cfg.san, "san", "none", "sanitizer on the fuzz binary: none|asan|ubsan|msan")
 	fs.StringVar(&cfg.diffdir, "diffdir", "", "persist diverging inputs")

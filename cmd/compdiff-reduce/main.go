@@ -15,7 +15,7 @@
 //	-out DIR      output directory (default "."): writes reduced.mc,
 //	              reduced.input (when non-empty), and fingerprint.json
 //	-budget N     maximum differential suite executions to spend
-//	-jobs N       worker goroutines per differential cross-check
+//	-jobs N       k-way compile fan-out (lowerings run at once per build)
 //
 // Compile-stage findings reduce too: when the program itself diverges
 // at compile time (accept/reject split, internal compiler error, or
@@ -62,7 +62,7 @@ func (c cliConfig) validate() error {
 		return fmt.Errorf("-budget %d: the reduction needs at least one suite execution", c.budget)
 	}
 	if c.jobs < 1 {
-		return fmt.Errorf("-jobs %d: the cross-check needs at least one worker", c.jobs)
+		return fmt.Errorf("-jobs %d: the compile fan-out needs at least one lowering at a time", c.jobs)
 	}
 	if c.out == "" {
 		return fmt.Errorf("-out cannot be empty; use . for the current directory")
@@ -77,7 +77,7 @@ func main() {
 	inputPath := flag.String("input", "", "triggering input file (empty input when omitted)")
 	outDir := flag.String("out", ".", "output directory for reduced.mc and fingerprint.json")
 	budget := flag.Int("budget", 4000, "maximum differential suite executions")
-	jobs := flag.Int("jobs", 1, "worker goroutines per differential cross-check")
+	jobs := flag.Int("jobs", 1, "k-way compile fan-out: lowerings run at once per build")
 	flag.Parse()
 
 	cfg := cliConfig{

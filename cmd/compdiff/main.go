@@ -17,110 +17,164 @@
 //	-normalize          filter timestamps/pointers before comparison
 //	-diffdir DIR        persist diverging inputs under DIR/diffs/
 //	-v                  print per-implementation outputs for diffs
+//	-localize           trace-diff each discrepancy to its source line
+//
+// Exit status: 0 when every input is stable, 1 when one diverges or
+// on a runtime error, 2 on a usage error.
 package main
 
 import (
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"compdiff"
 )
 
+// usageError marks command-line misuse: realMain maps it to exit 2,
+// every other error to exit 1.
+type usageError struct{ err error }
+
+func (e usageError) Error() string { return e.err.Error() }
+func (e usageError) Unwrap() error { return e.err }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("compdiff: ")
-	impls := flag.String("impls", "all", "implementation set: all | pair")
-	hexInput := flag.String("hex", "", "extra input as hex bytes")
-	normalize := flag.Bool("normalize", false, "apply the RQ5 output normalizer")
-	diffdir := flag.String("diffdir", "", "persist diverging inputs under DIR/diffs/")
-	verbose := flag.Bool("v", false, "print grouped outputs for each discrepancy")
-	localize := flag.Bool("localize", false, "trace-diff each discrepancy to the first diverging source line")
-	flag.Parse()
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() < 1 {
-		log.Fatal("usage: compdiff [flags] prog.mc [inputfile...]")
+// realMain is the whole program behind a single exit point: usage
+// errors exit 2; a divergence or a runtime error (unreadable file,
+// program that does not build) exits 1; stable inputs exit 0.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("compdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg config
+	fs.StringVar(&cfg.impls, "impls", "all", "implementation set: all | pair")
+	fs.StringVar(&cfg.hex, "hex", "", "extra input as hex bytes")
+	fs.BoolVar(&cfg.normalize, "normalize", false, "apply the RQ5 output normalizer")
+	fs.StringVar(&cfg.diffdir, "diffdir", "", "persist diverging inputs under DIR/diffs/")
+	fs.BoolVar(&cfg.verbose, "v", false, "print grouped outputs for each discrepancy")
+	fs.BoolVar(&cfg.localize, "localize", false, "trace-diff each discrepancy to the first diverging source line")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	diverged, err := run(cfg, fs.Args(), stdout, stderr)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "compdiff: %v\n", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			return 2
+		}
+		return 1
 	}
+	if diverged {
+		return 1
+	}
+	return 0
+}
 
+// config holds the flag values.
+type config struct {
+	impls, hex, diffdir          string
+	normalize, verbose, localize bool
+}
+
+// run checks the arguments, builds the suite and cross-checks every
+// input, reporting whether any diverged. Misuse comes back as a
+// usageError before any file is read.
+func run(cfg config, args []string, stdout, stderr io.Writer) (bool, error) {
+	if len(args) < 1 {
+		return false, usagef("usage: compdiff [flags] prog.mc [inputfile...]")
+	}
 	var set []compdiff.Implementation
-	switch *impls {
+	switch cfg.impls {
 	case "all":
 		set = compdiff.DefaultImplementations()
 	case "pair":
 		set = compdiff.RecommendedPair()
 	default:
-		log.Fatalf("unknown -impls %q (want all or pair)", *impls)
+		return false, usagef("unknown -impls %q (want all or pair)", cfg.impls)
+	}
+	var hexInput []byte
+	if cfg.hex != "" {
+		data, err := hex.DecodeString(cfg.hex)
+		if err != nil {
+			return false, usagef("bad -hex: %v", err)
+		}
+		hexInput = data
 	}
 
+	src, err := os.ReadFile(args[0])
+	if err != nil {
+		return false, err
+	}
 	opts := compdiff.Options{}
-	if *normalize {
+	if cfg.normalize {
 		opts.Normalizer = compdiff.DefaultNormalizer()
 	}
 	suite, err := compdiff.New(string(src), set, opts)
 	if err != nil {
-		log.Fatal(err)
+		return false, err
 	}
 
 	var inputs [][]byte
-	for _, path := range flag.Args()[1:] {
+	for _, path := range args[1:] {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			log.Fatal(err)
+			return false, err
 		}
 		inputs = append(inputs, data)
 	}
-	if *hexInput != "" {
-		data, err := hex.DecodeString(*hexInput)
-		if err != nil {
-			log.Fatalf("bad -hex: %v", err)
-		}
-		inputs = append(inputs, data)
+	if hexInput != nil {
+		inputs = append(inputs, hexInput)
 	}
 	if len(inputs) == 0 {
 		inputs = append(inputs, nil)
 	}
 
-	store := compdiff.NewDiffStore(*diffdir)
+	store := compdiff.NewDiffStore(cfg.diffdir)
 	diverged := 0
 	for i, in := range inputs {
 		o := suite.Run(in)
 		if !o.Diverged {
-			fmt.Printf("input %d (%d bytes): stable\n", i, len(in))
+			fmt.Fprintf(stdout, "input %d (%d bytes): stable\n", i, len(in))
 			continue
 		}
 		diverged++
-		fmt.Printf("input %d (%d bytes): DIVERGED (signature %016x)\n", i, len(in), o.Signature())
+		fmt.Fprintf(stdout, "input %d (%d bytes): DIVERGED (signature %016x)\n", i, len(in), o.Signature())
 		if _, err := store.Add(o); err != nil {
-			log.Printf("diff store: %v", err)
+			fmt.Fprintf(stderr, "compdiff: diff store: %v\n", err)
 		}
-		if *verbose {
+		if cfg.verbose {
 			for _, impls := range o.Groups() {
 				names := make([]string, 0, len(impls))
 				for _, j := range impls {
 					names = append(names, suite.Names()[j])
 				}
-				fmt.Printf("  %v:\n", names)
-				fmt.Printf("    %q\n", o.Results[impls[0]].Encode())
+				fmt.Fprintf(stdout, "  %v:\n", names)
+				fmt.Fprintf(stdout, "    %q\n", o.Results[impls[0]].Encode())
 			}
 		}
-		if *localize {
+		if cfg.localize {
 			loc, err := suite.Localize(o)
 			if err != nil {
-				log.Printf("localize: %v", err)
+				fmt.Fprintf(stderr, "compdiff: localize: %v\n", err)
 			} else {
-				fmt.Printf("  localization: %s\n", loc)
+				fmt.Fprintf(stdout, "  localization: %s\n", loc)
 			}
 		}
 	}
-	fmt.Printf("\n%d of %d inputs diverged; %d unique discrepancies\n",
+	fmt.Fprintf(stdout, "\n%d of %d inputs diverged; %d unique discrepancies\n",
 		diverged, len(inputs), len(store.Unique()))
-	if diverged > 0 {
-		os.Exit(1)
-	}
+	return diverged > 0, nil
 }

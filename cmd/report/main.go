@@ -143,8 +143,8 @@ func main() {
 // opcodePairSummary runs every built-in target's seeds through the
 // default implementation set under the pair profiler and renders the
 // most frequent fallthrough opcode pairs — the data that justifies
-// the fast loop's superinstruction set (scripts/bench.sh reports it
-// next to the timing trajectory).
+// the fast loop's superinstruction set (`go run ./cmd/report
+// -opcode-pairs` prints it).
 func opcodePairSummary(top int) string {
 	var prof vm.PairProfile
 	cfgs := compiler.DefaultSet()

@@ -26,8 +26,9 @@
 //	c.Run(100000)
 //	for _, d := range c.Diffs() { fmt.Println(d.Report(c.ImplNames())) }
 //
-// Sharded campaigns (the paper's 64-core AFL++ -M/-S topology, §4)
-// and parallel differential execution:
+// Sharded campaigns (the paper's 64-core AFL++ -M/-S topology, §4),
+// with the k lowerings of each build fanned across cores (the k-way
+// compile fan-out):
 //
 //	p, err := compdiff.NewCampaignPool(src, seeds, compdiff.CampaignOptions{Shards: 8, Parallelism: 4})
 //	p.Run(ctx, 100000) // per-shard budget; barriers sync corpora and diffs
@@ -121,16 +122,17 @@ func DefaultImplementations() []Implementation {
 // size-optimizing, which retains most of the detection power at ~2×
 // execution cost.
 func RecommendedPair() []Implementation {
-	return []Implementation{
-		{Family: GCC, Opt: Os},
-		{Family: Clang, Opt: O0},
-	}
+	return compiler.RecommendedPair()
 }
 
 // New parses, checks, and compiles MiniC source under every given
 // implementation, returning the differential-testing suite.
 func New(src string, impls []Implementation, opts Options) (*Suite, error) {
-	return core.BuildSource(src, impls, opts)
+	info, err := core.CheckSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return core.Build(info, impls, opts)
 }
 
 // NewCampaign builds a CompDiff-AFL++ campaign over MiniC source with
@@ -308,7 +310,11 @@ const (
 // not-universally-accepted outcome is a finding or a mundane uniform
 // reject.
 func NewDifferential(src string, impls []Implementation, opts Options) (*Suite, *CompileOutcome, error) {
-	return core.BuildSourceDifferential(src, impls, opts)
+	info, err := core.CheckSource(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return core.AssembleDifferential(compiler.CompileAllGuarded(info, impls, opts.Parallelism), impls, opts)
 }
 
 // CompileFingerprintOf classifies a compile outcome. It reports a

@@ -191,8 +191,9 @@ func TestGoldenTriageReduce(t *testing.T) {
 	}
 }
 
-// TestGoldenCorpusParallel replays the corpus through the parallel
-// execution path: Parallelism must never change a golden outcome.
+// TestGoldenCorpusParallel replays the corpus through suites built
+// with the k-way compile fan-out: Parallelism must never change a
+// golden outcome.
 func TestGoldenCorpusParallel(t *testing.T) {
 	srcs, err := filepath.Glob(filepath.Join("testdata", "golden", "*.mc"))
 	if err != nil || len(srcs) == 0 {

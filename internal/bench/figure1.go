@@ -69,14 +69,7 @@ func (f *Figure1) Format(title string) string {
 	worst, wn := f.WorstPair()
 	full := f.Stats[len(f.Stats)-1].Max
 	fmt.Fprintf(&b, "best pair  %v detects %d (%.0f%% of the full set's %d)\n",
-		best, bn, 100*float64(bn)/float64(maxInt(full, 1)), full)
+		best, bn, 100*float64(bn)/float64(max(full, 1)), full)
 	fmt.Fprintf(&b, "worst pair %v detects %d\n", worst, wn)
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -217,19 +217,11 @@ type Overhead struct {
 	PairConfigs []string
 }
 
-// RecommendedPair is the paper's resource-constrained configuration.
-func RecommendedPair() []compiler.Config {
-	return []compiler.Config{
-		{Family: compiler.GCC, Opt: compiler.Os},
-		{Family: compiler.Clang, Opt: compiler.O0},
-	}
-}
-
 // ComputeOverhead measures wall-clock per-input cost on the target
 // corpus and the pair's detection count from the full matrix.
 func ComputeOverhead(rw *RealWorld) (*Overhead, error) {
 	ov := &Overhead{FullBugs: len(rw.Matrix.Rows)}
-	pair := RecommendedPair()
+	pair := compiler.RecommendedPair()
 	for _, cfg := range pair {
 		ov.PairConfigs = append(ov.PairConfigs, cfg.Name())
 	}
@@ -311,9 +303,9 @@ func (ov *Overhead) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "per-input cost: 1 impl %s, pair %s (%.1fx), full ten %s (%.1fx)\n",
 		time.Duration(ov.BaselineNs), time.Duration(ov.PairNs),
-		float64(ov.PairNs)/float64(max(int(ov.BaselineNs), 1)),
+		float64(ov.PairNs)/float64(max(ov.BaselineNs, 1)),
 		time.Duration(ov.FullNs),
-		float64(ov.FullNs)/float64(max(int(ov.BaselineNs), 1)))
+		float64(ov.FullNs)/float64(max(ov.BaselineNs, 1)))
 	fmt.Fprintf(&b, "%v detects %d of %d real-world bugs\n", ov.PairConfigs, ov.PairBugs, ov.FullBugs)
 	return b.String()
 }

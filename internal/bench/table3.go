@@ -304,10 +304,3 @@ func FormatTable2() string {
 	fmt.Fprintf(&b, "%-10s %-42s %8d %8d\n", "Total", "", paper, here)
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

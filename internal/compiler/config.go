@@ -120,6 +120,17 @@ func DefaultSet() []Config {
 	return out
 }
 
+// RecommendedPair returns the paper's resource-constrained two-binary
+// configuration, {gcc -Os, clang -O0}: different families, one
+// unoptimizing and one size-optimizing, which retains most of the
+// detection power at ~2x execution cost.
+func RecommendedPair() []Config {
+	return []Config{
+		{Family: GCC, Opt: Os},
+		{Family: Clang, Opt: O0},
+	}
+}
+
 // personality derives the deterministic seed that parameterizes the
 // implementation's incidental choices (memory fill, poison values).
 func (c Config) personality() uint64 {

@@ -5,16 +5,16 @@ import (
 
 	"compdiff/internal/compiler"
 	"compdiff/internal/hash"
-	"compdiff/internal/minic/sema"
+	"compdiff/internal/vm"
 )
 
 // The compile-stage differential oracle: before a program ever runs,
 // the k implementations can already disagree — some accept and some
 // reject (CompileDivergence), one crashes with an internal compiler
 // error (ICE), or all reject but with different diagnostics
-// (DiagMismatch). BuildDifferential records those facts per
-// implementation; internal/triage turns them into fingerprinted
-// findings.
+// (DiagMismatch). AssembleDifferential records those facts per
+// implementation from compiler.CompileAllGuarded's results;
+// internal/triage turns them into fingerprinted findings.
 
 // CompileStatus classifies one implementation's compile attempt.
 type CompileStatus uint8
@@ -109,31 +109,19 @@ func (co *CompileOutcome) Signature() uint64 {
 	return h1
 }
 
-// BuildDifferential compiles the checked program under every
-// configuration with per-implementation recover boundaries and
-// records each one's accept/reject/ICE status. When all k accept, the
-// returned Suite is ready for runtime differential execution; when
-// any implementation rejects or crashes, the Suite is nil and the
-// CompileOutcome itself is the (potential) finding. The outcome is
-// positional and deterministic regardless of Options.Parallelism.
-//
-// The returned error is reserved for harness misuse (fewer than two
-// configurations); per-implementation failures are data, not errors.
-func BuildDifferential(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
-	if len(cfgs) < 2 {
-		return nil, nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
-	}
-	return AssembleDifferential(compiler.CompileAllGuarded(info, cfgs, opts.Parallelism), cfgs, opts)
-}
-
 // AssembleDifferential builds the compile outcome and (when all
 // implementations accepted) a fresh Suite from per-implementation
-// compile results obtained elsewhere — the progcache hit path, where
-// the k lowered programs already exist and only the outcome
+// compile results: compiler.CompileAllGuarded's, or a progcache hit's,
+// where the k lowered programs already exist and only the outcome
 // classification and the machines need constructing. results must be
-// positional with cfgs. Each call yields an independent Suite: the
-// cached *ir.Programs are immutable and shared read-only, the
-// machines are new.
+// positional with cfgs. When any implementation rejects or crashes,
+// the Suite is nil and the CompileOutcome itself is the (potential)
+// finding. Each call yields an independent Suite: the *ir.Programs
+// are immutable and shared read-only, the machines are new.
+//
+// The returned error is reserved for harness misuse (fewer than two
+// configurations, or results not positional with them);
+// per-implementation failures are data, not errors.
 func AssembleDifferential(results []compiler.Result, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
 	opts = opts.withDefaults()
 	if len(cfgs) < 2 {
@@ -162,16 +150,11 @@ func AssembleDifferential(results []compiler.Result, cfgs []compiler.Config, opt
 	if !co.AllAccepted() {
 		return nil, co, nil
 	}
-	return assemble(results, cfgs, opts), co, nil
-}
-
-// BuildSourceDifferential parses, checks, and builds differentially.
-// Parse and sema failures are uniform front-end rejects shared by
-// every implementation — an error, never a finding.
-func BuildSourceDifferential(src string, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
-	info, err := CheckSource(src)
-	if err != nil {
-		return nil, nil, err
+	s := &Suite{opts: opts}
+	for i, cfg := range cfgs {
+		im := &Implementation{Config: cfg, Prog: results[i].Prog, stepLimit: opts.StepLimit}
+		im.free = []*vm.Machine{vm.New(results[i].Prog, vm.Options{StepLimit: opts.StepLimit})}
+		s.Impls = append(s.Impls, im)
 	}
-	return BuildDifferential(info, cfgs, opts)
+	return s, co, nil
 }

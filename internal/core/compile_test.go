@@ -2,16 +2,31 @@ package core
 
 // Tests for the compile-stage differential build path: the
 // per-implementation outcome record, its helpers and signature, and
-// BuildDifferential's contract — harness misuse is an error,
+// AssembleDifferential's contract — harness misuse is an error,
 // implementation failure is data, and the record is positional and
-// deterministic regardless of Parallelism.
+// deterministic regardless of the compile fan-out. Build is pinned to
+// the same records: its error is the first rejecting implementation's.
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"compdiff/internal/compiler"
 )
+
+// assembleSource is the front end, the guarded k-way compile and
+// AssembleDifferential: the path compdiff.NewDifferential takes.
+func assembleSource(src string, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
+	info, err := CheckSource(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return AssembleDifferential(compiler.CompileAllGuarded(info, cfgs, opts.Parallelism), cfgs, opts)
+}
 
 const rejectSplitSrc = `
 int main() {
@@ -39,25 +54,25 @@ func TestCompileStatusString(t *testing.T) {
 }
 
 func TestBuildDifferentialNeedsTwoImpls(t *testing.T) {
-	if _, _, err := BuildSourceDifferential("int main() { return 0; }",
+	if _, _, err := assembleSource("int main() { return 0; }",
 		compiler.DefaultSet()[:1], Options{}); err == nil {
 		t.Fatal("single-implementation differential built without error")
 	}
 }
 
 func TestBuildSourceDifferentialFrontEndErrors(t *testing.T) {
-	if _, _, err := BuildSourceDifferential("int x = ;;;", compiler.DefaultSet(), Options{}); err == nil ||
+	if _, _, err := assembleSource("int x = ;;;", compiler.DefaultSet(), Options{}); err == nil ||
 		!strings.Contains(err.Error(), "parse") {
 		t.Errorf("parse failure not reported as an error: %v", err)
 	}
-	if _, _, err := BuildSourceDifferential("int main() { return undeclared; }",
+	if _, _, err := assembleSource("int main() { return undeclared; }",
 		compiler.DefaultSet(), Options{}); err == nil || !strings.Contains(err.Error(), "check") {
 		t.Errorf("sema failure not reported as an error: %v", err)
 	}
 }
 
 func TestBuildDifferentialAllAccept(t *testing.T) {
-	suite, co, err := BuildSourceDifferential("int main() { printf(\"ok\\n\"); return 0; }",
+	suite, co, err := assembleSource("int main() { printf(\"ok\\n\"); return 0; }",
 		compiler.DefaultSet(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +93,7 @@ func TestBuildDifferentialAllAccept(t *testing.T) {
 }
 
 func TestBuildDifferentialRejectSplit(t *testing.T) {
-	suite, co, err := BuildSourceDifferential(rejectSplitSrc, compiler.DefaultSet(), Options{})
+	suite, co, err := assembleSource(rejectSplitSrc, compiler.DefaultSet(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +129,7 @@ func TestBuildDifferentialRejectSplit(t *testing.T) {
 }
 
 func TestBuildDifferentialICERecord(t *testing.T) {
-	suite, co, err := BuildSourceDifferential(iceSrc(), compiler.DefaultSet(), Options{})
+	suite, co, err := assembleSource(iceSrc(), compiler.DefaultSet(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +155,11 @@ func TestBuildDifferentialICERecord(t *testing.T) {
 // concurrently.
 func TestBuildDifferentialParallelDeterminism(t *testing.T) {
 	for _, src := range []string{rejectSplitSrc, iceSrc(), "int main() { return 0; }"} {
-		_, seq, err := BuildSourceDifferential(src, compiler.DefaultSet(), Options{})
+		_, seq, err := assembleSource(src, compiler.DefaultSet(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, par, err := BuildSourceDifferential(src, compiler.DefaultSet(), Options{Parallelism: 4})
+		_, par, err := assembleSource(src, compiler.DefaultSet(), Options{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,5 +188,59 @@ func TestCompileSignatureDistinguishesRawTexts(t *testing.T) {
 	}
 	if a.Signature() != a.Signature() {
 		t.Error("signature is not deterministic")
+	}
+}
+
+// TestBuildMatchesDifferentialRecords pins Build and the differential
+// assembly to the records the separate Build/BuildDifferential
+// constructors produced, at compile fan-out 1 and 4. Build refuses the
+// reject-split and ICE programs with the first rejecting
+// implementation's error, in configuration order. The differential
+// record equals the golden in testdata field for field, and the
+// golden's signature is the one those constructors returned.
+func TestBuildMatchesDifferentialRecords(t *testing.T) {
+	cases := []struct {
+		name, src, buildErr string
+		sig                 uint64
+	}{
+		{"reject", rejectSplitSrc,
+			"compile [gcc -O1]: <source>:3: division by zero [-Werror=div-by-zero]",
+			0xa474d0b84d896eab},
+		{"ice", iceSrc(),
+			"compile [gcc -O2]: internal compiler error: internal compiler error: in simplify_expr, " +
+				"at expr.cc:4149: expression nesting depth 49 exceeds 48 at <source>:3 (frame 0xb568a6a6086f786c)",
+			0xbadde696175b34fd},
+	}
+	for _, tc := range cases {
+		raw, err := os.ReadFile(filepath.Join("testdata", "compile_outcome_"+tc.name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want CompileOutcome
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := want.Signature(); got != tc.sig {
+			t.Fatalf("%s: golden signature %016x, want %016x", tc.name, got, tc.sig)
+		}
+		info, err := CheckSource(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 4} {
+			opts := Options{Parallelism: p}
+			suite, err := Build(info, compiler.DefaultSet(), opts)
+			if suite != nil || err == nil || err.Error() != tc.buildErr {
+				t.Errorf("%s p=%d: Build = %v, %v; want nil, %q", tc.name, p, suite, err, tc.buildErr)
+			}
+			suite, co, err := AssembleDifferential(compiler.CompileAllGuarded(info, compiler.DefaultSet(), p),
+				compiler.DefaultSet(), opts)
+			if suite != nil || err != nil {
+				t.Fatalf("%s p=%d: AssembleDifferential = %v, %v; want a nil suite and no error", tc.name, p, suite, err)
+			}
+			if !reflect.DeepEqual(*co, want) {
+				t.Errorf("%s p=%d: compile outcome differs from the golden:\n got %+v\nwant %+v", tc.name, p, *co, want)
+			}
+		}
 	}
 }

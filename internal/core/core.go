@@ -91,14 +91,11 @@ type Options struct {
 	MaxTimeoutRetries int
 	// Normalizer, if set, rewrites outputs before comparison (RQ5).
 	Normalizer *Normalizer
-	// Parallelism is the number of worker goroutines each Run fans
-	// its k per-binary executions across. Values <= 1 keep the
-	// sequential path (byte-identical to the historical behavior).
-	// Suite.Run is safe for concurrent use at any setting: runs
-	// borrow machines from per-implementation free lists instead of
-	// mutating shared state, and outcomes are identical regardless of
-	// Parallelism for any program whose output does not depend on the
-	// wall clock.
+	// Parallelism is the k-way compile fan-out: how many of the k
+	// lowerings Build runs at once. Values <= 1 compile one at a time.
+	// The suite is identical at any setting. Each Run executes the k
+	// binaries one after another, as Algorithm 1 does; campaigns scale
+	// across cores with shards instead.
 	Parallelism int
 
 	// Metrics, when non-nil, receives per-implementation telemetry
@@ -140,47 +137,30 @@ type Suite struct {
 type runScratch struct {
 	machines []*vm.Machine
 	shared   []*vm.Result
+	all      []int // 0..k-1, the first pass's index chain
+	rerun    []int // the RQ6 re-run chain, rebuilt per retry
 	enc      []byte
 }
 
-// Build compiles the checked program under every configuration.
+// Build compiles the checked program under every configuration, at
+// most Options.Parallelism lowerings at a time, and assembles the
+// suite. When any implementation rejects or crashes it returns the
+// first such implementation's error in configuration order; callers
+// that want every implementation's verdict use AssembleDifferential.
 func Build(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, error) {
-	opts = opts.withDefaults()
-	if len(cfgs) < 2 {
-		return nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
-	}
-	results := make([]compiler.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		// Guarded so an internal compiler error surfaces as a build
-		// error the caller can classify, never as a harness panic.
-		results[i] = compiler.CompileGuarded(info, cfg)
-		if results[i].Err != nil {
-			return nil, results[i].Err
-		}
-	}
-	return assemble(results, cfgs, opts), nil
-}
-
-// assemble builds a suite over accepted compile results, positional
-// with cfgs: one implementation per configuration, each with a fresh
-// machine. The lowered programs are shared read-only.
-func assemble(results []compiler.Result, cfgs []compiler.Config, opts Options) *Suite {
-	s := &Suite{opts: opts}
-	for i, cfg := range cfgs {
-		im := &Implementation{Config: cfg, Prog: results[i].Prog, stepLimit: opts.StepLimit}
-		im.free = []*vm.Machine{vm.New(results[i].Prog, vm.Options{StepLimit: opts.StepLimit})}
-		s.Impls = append(s.Impls, im)
-	}
-	return s
-}
-
-// BuildSource parses, checks, and builds in one step.
-func BuildSource(src string, cfgs []compiler.Config, opts Options) (*Suite, error) {
-	info, err := CheckSource(src)
+	// Guarded so an internal compiler error surfaces as a build error
+	// the caller can classify, never as a harness panic.
+	results := compiler.CompileAllGuarded(info, cfgs, opts.Parallelism)
+	suite, _, err := AssembleDifferential(results, cfgs, opts)
 	if err != nil {
 		return nil, err
 	}
-	return Build(info, cfgs, opts)
+	for _, r := range results {
+		if r.Err != nil {
+			return nil, r.Err
+		}
+	}
+	return suite, nil
 }
 
 // CheckSource runs the front end: parse, then semantic checks.
@@ -257,9 +237,8 @@ const smallEncodeLimit = 4096
 var digestPool = sync.Pool{New: func() any { return new(hash.Digest) }}
 
 // Run executes input on every implementation and cross-checks outputs
-// (Algorithm 1, lines 9-12, plus the RQ5/RQ6 policies). With
-// Options.Parallelism > 1 the k executions fan out across a worker
-// pool; the outcome is positionally identical either way.
+// (Algorithm 1, lines 9-12, plus the RQ5/RQ6 policies). Run is safe
+// for concurrent use: each call borrows its own machine set.
 func (s *Suite) Run(input []byte) *Outcome {
 	return s.run(input, true)
 }
@@ -283,9 +262,12 @@ func (s *Suite) borrow() *runScratch {
 		sc = &runScratch{
 			machines: make([]*vm.Machine, len(s.Impls)),
 			shared:   make([]*vm.Result, len(s.Impls)),
+			all:      make([]int, len(s.Impls)),
+			rerun:    make([]int, 0, len(s.Impls)),
 		}
 		for i, im := range s.Impls {
 			sc.machines[i] = im.acquire()
+			sc.all[i] = i
 		}
 	}
 	return sc
@@ -310,55 +292,24 @@ func (s *Suite) run(input []byte, materialize bool) *Outcome {
 	// shared holds machine-owned results (vm.RunShared): valid while
 	// the machines stay borrowed.
 	machines, shared := sc.machines, sc.shared
-	if m := s.opts.Metrics; m != nil {
-		s.forEachTimed(k, func(i int) {
-			shared[i] = machines[i].RunShared(input)
-		}, func(idxs []int, elapsed time.Duration) {
-			s.observeChain(m, shared, idxs, elapsed)
-		})
-	} else {
-		s.forEach(k, func(i int) {
-			shared[i] = machines[i].RunShared(input)
-		})
-	}
+	s.runEach(shared, sc.all, func(i int) *vm.Result { return machines[i].RunShared(input) })
 
 	// Partial-timeout policy (RQ6): when only some binaries hit the
 	// step limit, their truncated output is not comparable. Re-run the
 	// timed-out ones with a growing budget; only if they still exceed
 	// it do we report (flagged for manual scrutiny).
-	retries := 0
-	for retries < s.opts.MaxTimeoutRetries {
-		var rerun []int
-		finished := 0
+	for retries := 1; retries <= s.opts.MaxTimeoutRetries; retries++ {
+		rerun := sc.rerun[:0]
 		for i, r := range shared {
 			if r.Exit == vm.StepLimit {
 				rerun = append(rerun, i)
-			} else {
-				finished++
 			}
 		}
-		if len(rerun) == 0 || finished == 0 {
+		if len(rerun) == 0 || len(rerun) == k {
 			break
 		}
-		retries++
 		budget := growBudget(s.opts.StepLimit, retries)
-		if m := s.opts.Metrics; m != nil {
-			s.forEachTimed(len(rerun), func(j int) {
-				i := rerun[j]
-				shared[i] = machines[i].RunSharedWithLimit(input, budget)
-			}, func(jdxs []int, elapsed time.Duration) {
-				idxs := make([]int, len(jdxs))
-				for x, j := range jdxs {
-					idxs[x] = rerun[j]
-				}
-				s.observeChain(m, shared, idxs, elapsed)
-			})
-		} else {
-			s.forEach(len(rerun), func(j int) {
-				i := rerun[j]
-				shared[i] = machines[i].RunSharedWithLimit(input, budget)
-			})
-		}
+		s.runEach(shared, rerun, func(i int) *vm.Result { return machines[i].RunSharedWithLimit(input, budget) })
 	}
 	for _, r := range shared {
 		if r.Exit == vm.StepLimit {
@@ -459,12 +410,33 @@ func (s *Suite) hashResult(r *vm.Result, d *hash.Digest) uint64 {
 	return h1
 }
 
-// observeChain records one worker chain of VM executions: each run in
-// idxs is classified, and the chain's wall-clock time is apportioned
+// runEach runs exec(i) for every implementation index in idxs, in
+// order, storing the results positionally. With Metrics set it times
+// the whole chain with two clock reads and hands it to observeChain:
+// a warm VM run is single-digit microseconds and a clock read tens of
+// nanoseconds, so timing each run would cost more than the telemetry
+// it feeds.
+func (s *Suite) runEach(results []*vm.Result, idxs []int, exec func(int) *vm.Result) {
+	m := s.opts.Metrics
+	if m == nil {
+		for _, i := range idxs {
+			results[i] = exec(i)
+		}
+		return
+	}
+	start := time.Now()
+	for _, i := range idxs {
+		results[i] = exec(i)
+	}
+	s.observeChain(m, results, idxs, time.Since(start))
+}
+
+// observeChain records one chain of VM executions: each run in idxs
+// is classified, and the chain's wall-clock time is apportioned
 // across the runs proportionally to their executed step counts. Steps
 // measure the work a run did, so the apportionment is an accurate
 // per-run latency estimate while the chain total is exact — and the
-// clock stays off the per-run hot path (see forEachTimed).
+// clock stays off the per-run hot path (see runEach).
 func (s *Suite) observeChain(m *telemetry.SuiteMetrics, results []*vm.Result, idxs []int, elapsed time.Duration) {
 	var total int64
 	for _, i := range idxs {

@@ -9,9 +9,19 @@ import (
 	"compdiff/internal/vm"
 )
 
+// buildSource is the front end followed by Build: the path
+// compdiff.New takes.
+func buildSource(src string, cfgs []compiler.Config, opts Options) (*Suite, error) {
+	info, err := CheckSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return Build(info, cfgs, opts)
+}
+
 func build(t *testing.T, src string) *Suite {
 	t.Helper()
-	s, err := BuildSource(src, compiler.DefaultSet(), Options{})
+	s, err := buildSource(src, compiler.DefaultSet(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +182,7 @@ int main() {
     return 0;
 }
 `
-	s, err := BuildSource(src, compiler.DefaultSet(), Options{StepLimit: 400_000})
+	s, err := buildSource(src, compiler.DefaultSet(), Options{StepLimit: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +220,7 @@ int main() {
     return 0;
 }
 `
-	s, err := BuildSource(src, compiler.DefaultSet(), Options{StepLimit: 50_000, MaxTimeoutRetries: 1})
+	s, err := buildSource(src, compiler.DefaultSet(), Options{StepLimit: 50_000, MaxTimeoutRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +243,14 @@ int main() {
     return 0;
 }
 `
-	plain, err := BuildSource(src, compiler.DefaultSet(), Options{})
+	plain, err := buildSource(src, compiler.DefaultSet(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o := plain.Run(nil); !o.Diverged {
 		t.Fatal("timestamps should diverge without normalization")
 	}
-	norm, err := BuildSource(src, compiler.DefaultSet(), Options{Normalizer: DefaultNormalizer()})
+	norm, err := buildSource(src, compiler.DefaultSet(), Options{Normalizer: DefaultNormalizer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +260,7 @@ int main() {
 }
 
 func TestNormalizerKeepsRealDivergence(t *testing.T) {
-	s, err := BuildSource(`
+	s, err := buildSource(`
 int main() {
     int x;
     printf("12:00:00.000000 value=%d\n", x);

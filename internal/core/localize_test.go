@@ -111,7 +111,7 @@ func TestLocalizeRejectsStableOutcome(t *testing.T) {
 
 func TestLocalizeOnSubset(t *testing.T) {
 	// Works with any implementation set, including the pair.
-	s, err := BuildSource(`int main() {
+	s, err := buildSource(`int main() {
     int x;
     int guard = 7;
     printf("%d %d\n", x, guard);

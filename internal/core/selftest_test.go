@@ -3,7 +3,8 @@ package core_test
 // The differential self-test for the fuzzing fast path: RunFast must
 // reach the same verdict, checksums and (on divergence) results as the
 // materializing Run, over the golden corpus and a progen-generated
-// sweep, sequentially and with the parallel cross-check. The fast path
+// sweep, over suites built sequentially and with the k-way compile
+// fan-out. The fast path
 // is only trusted because this layer holds it to the semantics the
 // oracle was validated against — the same medicine the vm's
 // selftest_test.go applies to the fast loop. scripts/check.sh runs
@@ -141,11 +142,15 @@ func runFastSelfTest(t *testing.T, parallelism, chunk int) {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			opts := core.Options{Parallelism: parallelism}
-			slow, err := core.BuildSource(src, compiler.DefaultSet(), opts)
+			info, err := core.CheckSource(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := core.BuildSource(src, compiler.DefaultSet(), opts)
+			slow, err := core.Build(info, compiler.DefaultSet(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := core.Build(info, compiler.DefaultSet(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,10 +189,10 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	t.Run("batch64", func(t *testing.T) { runFastSelfTest(t, 1, 64) })
 }
 
-// TestRunBatchMatchesRunParallel repeats the proof with the k-way
-// parallel cross-check (Parallelism=4): the warm machine-set borrow
-// must compose with the worker fan-out without reordering or racing —
-// check.sh runs this under -race.
+// TestRunBatchMatchesRunParallel repeats the proof over suites built
+// with the k-way compile fan-out (Parallelism=4): the lowerings that
+// ran concurrently must yield the same binaries — check.sh runs this
+// under -race.
 func TestRunBatchMatchesRunParallel(t *testing.T) {
 	t.Run("batch7", func(t *testing.T) { runFastSelfTest(t, 4, 7) })
 	t.Run("batch64", func(t *testing.T) { runFastSelfTest(t, 4, 64) })

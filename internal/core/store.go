@@ -18,7 +18,7 @@ import (
 //
 // All methods are safe for concurrent use: a sharded campaign merges
 // shard-local stores into one shared store at synchronization
-// barriers, and parallel suite runs may feed one store directly.
+// barriers, and concurrent suite runs may feed one store directly.
 type DiffStore struct {
 	dir string // optional persistence directory; "" keeps all in memory
 

@@ -34,7 +34,7 @@ const delayLoopLimit = 400_000
 
 func TestSuiteMetricsClassifyAndCount(t *testing.T) {
 	m := telemetry.NewSuiteMetrics(namesOf(compiler.DefaultSet()))
-	s, err := BuildSource(listing1Src, compiler.DefaultSet(), Options{Metrics: m})
+	s, err := buildSource(listing1Src, compiler.DefaultSet(), Options{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSuiteMetricsClassifyAndCount(t *testing.T) {
 
 func TestSuiteMetricsCountStepLimitHangs(t *testing.T) {
 	m := telemetry.NewSuiteMetrics(namesOf(compiler.DefaultSet()))
-	s, err := BuildSource(delayLoopSrc, compiler.DefaultSet(), Options{StepLimit: delayLoopLimit, Metrics: m})
+	s, err := buildSource(delayLoopSrc, compiler.DefaultSet(), Options{StepLimit: delayLoopLimit, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSuiteMetricsCountStepLimitHangs(t *testing.T) {
 // count would stop doubling.
 func TestRQ6RerunDoesNotLeakBudgetIntoPooledMachines(t *testing.T) {
 	m := telemetry.NewSuiteMetrics(namesOf(compiler.DefaultSet()))
-	s, err := BuildSource(delayLoopSrc, compiler.DefaultSet(), Options{StepLimit: delayLoopLimit, Metrics: m})
+	s, err := buildSource(delayLoopSrc, compiler.DefaultSet(), Options{StepLimit: delayLoopLimit, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,23 +106,6 @@ func TestRQ6RerunDoesNotLeakBudgetIntoPooledMachines(t *testing.T) {
 	s.Run(nil)
 	if h2 := hangsAfter(); h2 != 2*h1 {
 		t.Fatalf("second run on warm machines: hangs %d -> %d, want exact doubling (budget leak?)", h1, h2)
-	}
-	// The same holds with the parallel worker pool over its free lists.
-	mp := telemetry.NewSuiteMetrics(namesOf(compiler.DefaultSet()))
-	sp, err := BuildSource(delayLoopSrc, compiler.DefaultSet(),
-		Options{StepLimit: delayLoopLimit, Parallelism: 4, Metrics: mp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.Warm(4)
-	sp.Run(nil)
-	sp.Run(nil)
-	var hp int64
-	for _, sum := range mp.Summaries() {
-		hp += sum.Outcomes[telemetry.ClassStepLimitHang]
-	}
-	if hp != 2*h1 {
-		t.Fatalf("parallel runs recorded %d hangs, want %d", hp, 2*h1)
 	}
 }
 

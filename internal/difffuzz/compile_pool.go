@@ -41,8 +41,9 @@ type CompilePoolOptions struct {
 	SyncEvery int
 	// StepLimit bounds each runtime cross-check execution.
 	StepLimit int64
-	// Parallelism is the per-program compile and suite parallelism.
-	// Scheduling only — results are positional and deterministic.
+	// Parallelism is the k-way compile fan-out: how many of each
+	// program's k lowerings run at once. Scheduling only — results
+	// are positional and deterministic.
 	Parallelism int
 	// RuntimeInputs are run differentially on every program all
 	// implementations accept, so a program corpus feeds the runtime

@@ -55,9 +55,11 @@ type Options struct {
 	// asymmetry fingerprint.
 	DivergenceFeedback bool
 
-	// Parallelism fans each differential cross-check across this many
-	// worker goroutines (core.Options.Parallelism). <= 1 keeps the
-	// sequential path.
+	// Parallelism is the k-way compile fan-out: how many of the k
+	// lowerings building each shard's suite run at once
+	// (core.Options.Parallelism). <= 1 compiles one at a time. Each
+	// cross-check runs the k binaries one after another; Shards is
+	// the axis that spreads a campaign across cores.
 	Parallelism int
 
 	// Shards is the number of parallel fuzzer instances NewPool runs,

@@ -48,7 +48,8 @@ type EvolvePoolOptions struct {
 	Shards int
 	// StepLimit bounds each runtime oracle execution.
 	StepLimit int64
-	// Parallelism is the per-genome compile and suite parallelism.
+	// Parallelism is the k-way compile fan-out: how many of each
+	// genome's k lowerings run at once.
 	Parallelism int
 	// RuntimeInputs are run differentially on every genome all
 	// implementations accept. Default: just the empty input.

@@ -25,8 +25,8 @@ import (
 // under different settings would silently diverge from both the
 // original and a fresh run. Deliberately excluded: Parallelism
 // (scheduling only), DiffDir and the Stats/Checkpoint knobs
-// (observability only) — a campaign may legitimately resume with more
-// workers or a different stats directory.
+// (observability only) — a campaign may legitimately resume with a
+// different -jobs or stats directory.
 func CampaignHash(src string, seeds [][]byte, opts Options) uint64 {
 	d := hash.New128(0xca3b)
 	for _, cfg := range configsOrDefault(opts.Configs) {

@@ -131,10 +131,9 @@ func assertMonotonic(t *testing.T, snaps []telemetry.Snapshot) {
 	}
 }
 
-// TestPoolTelemetryBarrierSnapshots runs a sharded pool with parallel
-// cross-checks (the -race configuration the suite's concurrency claims
-// are checked under), then validates the snapshot series and the
-// plot.jsonl it persisted.
+// TestPoolTelemetryBarrierSnapshots runs a sharded pool whose suites
+// are built with the k-way compile fan-out (under -race in check.sh),
+// then validates the snapshot series and the plot.jsonl it persisted.
 func TestPoolTelemetryBarrierSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	p, err := NewPool(listing1Target, [][]byte{[]byte("DT\x01\x02\x03\x04\x05\x06")}, Options{

@@ -89,7 +89,7 @@ func TestGoodVariantsAreStable(t *testing.T) {
 	s := GenerateScaled(scale)
 	cfgs := compiler.DefaultSet()
 	for _, c := range s.Cases {
-		suite, err := core.BuildSource(c.Good, cfgs, core.Options{})
+		suite, err := buildSource(c.Good, cfgs)
 		if err != nil {
 			t.Fatalf("%s/good build: %v", c.Name, err)
 		}
@@ -107,6 +107,15 @@ func TestGoodVariantsAreStable(t *testing.T) {
 				c.Name, detail, c.Good)
 		}
 	}
+}
+
+// buildSource is the front end followed by core.Build.
+func buildSource(src string, cfgs []compiler.Config) (*core.Suite, error) {
+	info, err := core.CheckSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return core.Build(info, cfgs, core.Options{})
 }
 
 func idxOfHash(hashes []uint64, h uint64) int {
@@ -157,7 +166,7 @@ func TestBadVariantsDetectableBySomeone(t *testing.T) {
 		if c.Stealth {
 			continue // defined-behaviour logic flaws: invisible by design
 		}
-		suite, err := core.BuildSource(c.Bad, cfgs, core.Options{})
+		suite, err := buildSource(c.Bad, cfgs)
 		if err != nil {
 			t.Fatalf("%s/bad build: %v", c.Name, err)
 		}

@@ -57,7 +57,11 @@ func TestNoUBImpliesNoDivergence(t *testing.T) {
 	cfgs := compiler.DefaultSet()
 	for seed := int64(0); seed < nSeeds; seed++ {
 		p := Generate(seed)
-		suite, err := core.BuildSource(p.Src, cfgs, core.Options{})
+		info, err := core.CheckSource(p.Src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, p.Src)
+		}
+		suite, err := core.Build(info, cfgs, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, p.Src)
 		}

@@ -127,7 +127,11 @@ func buildSuite(t *testing.T, tg *Target) *core.Suite {
 	if tg.NeedsNormalizer {
 		opts.Normalizer = core.DefaultNormalizer()
 	}
-	s, err := core.BuildSource(tg.Src, compiler.DefaultSet(), opts)
+	info, err := core.CheckSource(tg.Src)
+	if err != nil {
+		t.Fatalf("%s: %v", tg.Name, err)
+	}
+	s, err := core.Build(info, compiler.DefaultSet(), opts)
 	if err != nil {
 		t.Fatalf("%s: %v", tg.Name, err)
 	}

@@ -11,16 +11,15 @@ import (
 // SuiteMetrics is the per-implementation view a differential suite
 // feeds: every VM execution on every CompDiff binary is classified
 // (ok / crash / step-limit-hang) and its latency recorded. All methods
-// are safe for concurrent use — the parallel suite layer calls
-// ObserveRun from its worker goroutines.
+// are safe for concurrent use — one SuiteMetrics may serve concurrent
+// Suite.Run callers.
 type SuiteMetrics struct {
 	names []string
 	impls []implMetrics
 }
 
-// implMetrics is one implementation's counters. The parallel suite
-// layer assigns each worker a different implementation, so adjacent
-// entries are updated by different goroutines concurrently; the pad
+// implMetrics is one implementation's counters. Concurrent Suite.Run
+// callers may update adjacent entries from different goroutines; the pad
 // keeps one implementation's hot counters off its neighbor's cache
 // line (the interleaved Histogram separates entries further).
 type implMetrics struct {

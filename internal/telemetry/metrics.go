@@ -129,8 +129,8 @@ const (
 
 // Histogram is a lock-striped latency histogram with exponential
 // buckets. Observations hash to one of histStripes independently
-// locked stripes, so concurrent workers (the parallel suite layer
-// runs k executions across a worker pool) rarely serialize on it;
+// locked stripes, so concurrent observers (Suite.Run callers on
+// different goroutines) rarely serialize on it;
 // Snapshot merges the stripes.
 type Histogram struct {
 	stripes [histStripes]histStripe

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"compdiff/internal/compiler"
-	"compdiff/internal/core"
 )
 
 func TestBucketStoreDedup(t *testing.T) {
@@ -59,7 +58,7 @@ int main() {
     return 0;
 }
 `
-	suite, err := core.BuildSource(src, compiler.DefaultSet(), core.Options{})
+	suite, err := buildSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,30 @@ int main() {
 }
 `
 
+// buildSource is the front end followed by core.Build over the ten
+// default implementations.
+func buildSource(src string) (*core.Suite, error) {
+	info, err := core.CheckSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return core.Build(info, compiler.DefaultSet(), core.Options{})
+}
+
+// assembleSource is the front end, the guarded ten-way compile and
+// core.AssembleDifferential.
+func assembleSource(src string) (*core.Suite, *core.CompileOutcome, error) {
+	info, err := core.CheckSource(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfgs := compiler.DefaultSet()
+	return core.AssembleDifferential(compiler.CompileAllGuarded(info, cfgs, 1), cfgs, core.Options{})
+}
+
 func mustOutcome(t *testing.T, src string, input []byte) *core.Outcome {
 	t.Helper()
-	suite, err := core.BuildSource(src, compiler.DefaultSet(), core.Options{})
+	suite, err := buildSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}

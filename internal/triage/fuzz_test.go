@@ -12,8 +12,6 @@ package triage
 import (
 	"testing"
 
-	"compdiff/internal/compiler"
-	"compdiff/internal/core"
 	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
 )
@@ -56,7 +54,7 @@ int main() {
 `
 
 func FuzzReduce(f *testing.F) {
-	suite, err := core.BuildSource(fuzzHostSrc, compiler.DefaultSet(), core.Options{})
+	suite, err := buildSource(fuzzHostSrc)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func FuzzReduce(f *testing.F) {
 		if _, err := sema.Check(prog); err != nil {
 			t.Fatalf("reduced source fails sema: %v\n%s", err, red.Source)
 		}
-		rsuite, err := core.BuildSource(red.Source, compiler.DefaultSet(), core.Options{})
+		rsuite, err := buildSource(red.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +127,7 @@ func FuzzReduce(f *testing.F) {
 // finding: same fingerprint, no growth, no retained input, and the
 // output re-validates from scratch.
 func fuzzCompileReduce(t *testing.T, input []byte) {
-	_, co, err := core.BuildSourceDifferential(compileHostSrc, compiler.DefaultSet(), core.Options{})
+	_, co, err := assembleSource(compileHostSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +157,7 @@ func fuzzCompileReduce(t *testing.T, input []byte) {
 	}
 
 	// Re-validate from scratch, trusting nothing the reducer cached.
-	rsuite, rco, err := core.BuildSourceDifferential(red.Source, compiler.DefaultSet(), core.Options{})
+	rsuite, rco, err := assembleSource(red.Source)
 	if err != nil {
 		t.Fatalf("reduced source does not build: %v\n%s", err, red.Source)
 	}

@@ -16,7 +16,7 @@ type ReduceOptions struct {
 	// keep reproducing on. Defaults to the paper's ten.
 	Configs []compiler.Config
 	// Suite carries the differential-execution options (step limit,
-	// normalizer, parallelism) every candidate re-runs under.
+	// normalizer, k-way compile fan-out) every candidate re-runs under.
 	Suite core.Options
 	// MaxSuiteRuns bounds the total number of differential suite
 	// executions the reduction may spend, including the baseline run
@@ -79,7 +79,7 @@ var ErrNoDivergence = errors.New("triage: finding does not diverge")
 // keys — and no VM run is needed.
 //
 // Reduce is deterministic: same finding, same options, same result,
-// regardless of Suite.Parallelism.
+// regardless of Suite.Parallelism (the k-way compile fan-out).
 func Reduce(src string, input []byte, opts ReduceOptions) (*Reduction, error) {
 	cfgs := opts.Configs
 	if len(cfgs) == 0 {
@@ -196,7 +196,7 @@ func (r *reducer) buildDifferential(src string) (*core.Suite, *core.CompileOutco
 		return nil, nil, err
 	}
 	r.builds++
-	return core.BuildDifferential(info, r.cfgs, r.sopts)
+	return core.AssembleDifferential(compiler.CompileAllGuarded(info, r.cfgs, r.sopts.Parallelism), r.cfgs, r.sopts)
 }
 
 // tryProgramCompile evaluates one candidate source against the

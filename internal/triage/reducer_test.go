@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"compdiff/internal/compiler"
 	"compdiff/internal/core"
 	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
@@ -171,7 +170,7 @@ func assertReproduces(t *testing.T, red *Reduction) {
 	if _, err := sema.Check(prog); err != nil {
 		t.Fatalf("reduced source fails sema: %v", err)
 	}
-	suite, err := core.BuildSource(red.Source, compiler.DefaultSet(), core.Options{})
+	suite, err := buildSource(red.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +236,9 @@ func TestReduceRejectsBrokenSource(t *testing.T) {
 
 // TestReduceDeterministicAcrossParallelism pins that the reduction
 // result — source, input, fingerprint, and even the budget spent — is
-// identical whether candidate suites execute sequentially or on four
-// workers. Divergence checksums are deterministic per implementation,
-// so parallelism must only change wall-clock.
+// identical whether candidate suites compile one lowering at a time or
+// four at once. Lowerings are independent and positional, so the
+// compile fan-out must only change wall-clock.
 func TestReduceDeterministicAcrossParallelism(t *testing.T) {
 	tc := reduceCases[1]
 	seq, err := Reduce(tc.src, tc.input, ReduceOptions{Suite: core.Options{Parallelism: 1}})

@@ -105,9 +105,10 @@ type slot struct {
 // AFL++ forkserver: the binary is loaded once, and each Run resets
 // memory from a pristine snapshot instead of re-launching.
 //
-// A Machine is single-goroutine (all run state lives on it); parallel
-// execution layers (core's worker pool, difffuzz's shards) give each
-// worker its own machine via per-implementation free lists.
+// A Machine is single-goroutine (all run state lives on it); concurrent
+// callers (concurrent Suite.Run calls, difffuzz's shards) each get
+// their own machine, through core's per-implementation free lists or
+// per shard.
 type Machine struct {
 	prog *ir.Program
 	opts Options

@@ -33,8 +33,8 @@ go test -race -run 'TestFuzzQueueGolden' -count=1 .
 # The fast-path self-test is the same guard one layer up:
 # Suite.RunFast must reach the same verdicts and checksums as the
 # materializing Run over the golden corpus and the generated sweep,
-# sequentially and with the parallel cross-check, under the race
-# detector.
+# over suites built sequentially and with the k-way compile fan-out,
+# under the race detector.
 echo "== core fast-path self-test (-race)"
 go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel' \
 	-count=1 ./internal/core
@@ -44,22 +44,20 @@ go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel' \
 echo "== bench smoke (BenchmarkOverheadFullTen, 10x)"
 go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
-# Fast-path/cache bench smoke: the campaign's per-input cross-check
-# and the compiled-program cache benchmarks must exist and produce rows
-# bench.sh can parse into the trajectory record (guards both the
-# benchmarks and the bench.sh JSON pipeline).
-echo "== bench smoke (SuiteRunFast + ProgCacheHit via bench.sh)"
-BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunFast|ProgCacheHit' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunFast BenchmarkProgCacheHit; do
-	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
-		echo "bench smoke: $b missing from bench.sh output" >&2
-		cat "$BENCH_SMOKE_JSON" >&2
-		rm -f "$BENCH_SMOKE_JSON"
+# Fast-path/cache/telemetry bench smoke: the campaign's per-input
+# cross-check, the compiled-program cache and the telemetry-budget
+# benchmarks must exist and each produce an ns/op row. perfbench and
+# BENCHMARK.json are the benchmark record; this only guards the
+# harness.
+echo "== bench smoke (SuiteRunFast + ProgCacheHit + SuiteRunTelemetry, 10x)"
+BENCH_SMOKE_OUT="$(go test -run '^$' -bench '^Benchmark(SuiteRunFast|ProgCacheHit|SuiteRunTelemetry)$' -benchtime 10x .)"
+for b in BenchmarkSuiteRunFast BenchmarkProgCacheHit BenchmarkSuiteRunTelemetry; do
+	echo "$BENCH_SMOKE_OUT" | grep -Eq "^$b(-[0-9]+)?[[:space:]]+[0-9]+[[:space:]]+[0-9.]+ ns/op" || {
+		echo "bench smoke: no $b row" >&2
+		echo "$BENCH_SMOKE_OUT" >&2
 		exit 1
 	}
 done
-rm -f "$BENCH_SMOKE_JSON"
 
 echo "== fuzz smoke ($FUZZTIME each)"
 go test -fuzz=FuzzParse -fuzztime="$FUZZTIME" -run='^$' ./internal/minic/parser
